@@ -16,6 +16,13 @@ cargo build --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> hostbench self-test"
+# hostbench is its own package (outside the workspace) that compiles
+# against SchedStats, MidwayRun::alloc, Trace::{encode, decode} and
+# Cluster; building and self-testing it here turns an API break into a
+# CI failure instead of a benchmark failure.
+cargo test --release --manifest-path hostbench/Cargo.toml
+
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
@@ -72,8 +79,8 @@ echo "==> hostperf smoke"
 # The host-performance basket at smoke size: exercises the chunked diff /
 # dirtybit-scan / digest hot paths and both backends end to end, and
 # emits the wall-clock JSON with the per-layer attribution counters
-# (scheduler dispatches/batching, calendar-ring vs heap pops, deque and
-# buffer-pool recycling). No baseline comparison at smoke scale.
+# (scheduler dispatches, buffer-pool hits). No baseline comparison at
+# smoke scale.
 cargo run --release -q -p midway-bench --bin hostperf -- \
     --smoke --out "$smoke/hostperf.json"
 

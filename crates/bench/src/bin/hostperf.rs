@@ -28,10 +28,8 @@
 //!   to catch structural hot-path regressions, not noise.
 //!
 //! Besides wall-clock numbers, every cell reports *attribution counters*
-//! from the engine itself: scheduler rendezvous vs batched deliveries,
-//! calendar-ring vs overflow-heap pops, batch deques recycled, and
-//! detector buffer-pool hits/misses — which layer of the host-perf work
-//! is buying what.
+//! from the engine itself: scheduler rendezvous (one per delivered event)
+//! and detector buffer-pool hits/misses.
 //!
 //! The default output path is `BENCH_hostperf.json` at the repository
 //! root (override with `--out`).
@@ -304,25 +302,12 @@ fn main() {
 
     // Per-layer attribution: what the event engine and the allocation
     // discipline actually did during each cell.
-    let mut at = TextTable::new(&[
-        "cell",
-        "dispatches",
-        "batched",
-        "near pops",
-        "far pops",
-        "deques reused",
-        "pool hit %",
-    ]);
+    let mut at = TextTable::new(&["cell", "dispatches", "pool hit %"]);
     for cell in &cells {
-        let s = &cell.sched;
         let pool_total = cell.pool_hits + cell.pool_misses;
         at.row(&[
             cell.key(),
-            s.dispatches.to_string(),
-            s.batched.to_string(),
-            s.near_pops.to_string(),
-            s.far_pops.to_string(),
-            s.deques_recycled.to_string(),
+            cell.sched.dispatches.to_string(),
             if pool_total == 0 {
                 "-".to_string()
             } else {
@@ -373,10 +358,6 @@ fn main() {
                 "attribution".to_string(),
                 Json::obj([
                     ("dispatches", Json::U64(cell.sched.dispatches)),
-                    ("batched", Json::U64(cell.sched.batched)),
-                    ("near_pops", Json::U64(cell.sched.near_pops)),
-                    ("far_pops", Json::U64(cell.sched.far_pops)),
-                    ("deques_recycled", Json::U64(cell.sched.deques_recycled)),
                     ("pool_hits", Json::U64(cell.pool_hits)),
                     ("pool_misses", Json::U64(cell.pool_misses)),
                 ]),

@@ -62,6 +62,8 @@ pub use trace::{AllocSpec, BarrierSpec, SpecBlueprint, TraceOp};
 pub use midway_check::{ApplyStats, CheckReport, CheckSpec, Finding, FindingKind, Staleness};
 pub use midway_mem::AddrRange;
 pub use midway_net::{RealConfig, RealError, RealMode, RealTransport, Transport};
+// The workspace codec, for formats built above this crate (trace files).
+pub use midway_net::{fnv1a64, put_u64, put_varint, WireError, WireReader};
 pub use midway_proto::{BarrierId, HomeMap, LinkStats, LockId, Mode, ReliableParams};
 pub use midway_sim::SchedStats;
 pub use midway_sim::{FaultPlan, FaultStats, NetModel, SimError, SplitMix64, VirtualTime};

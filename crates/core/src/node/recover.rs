@@ -35,6 +35,7 @@
 //! loss. A checkpoint that fails its checksum is *never* applied.
 
 use midway_mem::{Addr, AddrRange, Layout, LocalStore};
+use midway_net::{fnv1a64, put_varint, WireError, WireReader};
 use midway_proto::Mode;
 use std::sync::Arc;
 
@@ -158,11 +159,7 @@ impl RecoveryLog {
         self.wal.push(REC_LOCK);
         put_varint(&mut self.wal, idx as u64);
         self.wal.push(held);
-        put_varint(&mut self.wal, ranges.len() as u64);
-        for r in ranges {
-            put_varint(&mut self.wal, r.start);
-            put_varint(&mut self.wal, r.end);
-        }
+        put_ranges(&mut self.wal, ranges);
         (self.wal.len() - before) as u64
     }
 
@@ -221,7 +218,8 @@ impl RecoveryLog {
                             Err(prev_err) => {
                                 return Err(format!(
                                     "both checkpoint images are corrupt \
-                                     (latest: {latest_err}; previous: {prev_err})"
+                                     (latest: {}; previous: {})",
+                                    latest_err.0, prev_err.0
                                 ));
                             }
                         },
@@ -244,7 +242,7 @@ impl RecoveryLog {
         };
         for seg in segments {
             replay_bytes += seg.len() as u64;
-            replay_log(seg, &mut store, &mut sync)?;
+            replay_log(seg, &mut store, &mut sync).map_err(|e| e.0)?;
         }
         Ok(Recovered {
             store,
@@ -287,18 +285,14 @@ pub(crate) fn encode_checkpoint(
     put_varint(&mut out, sync.locks.len() as u64);
     for (held, ranges) in &sync.locks {
         out.push(*held);
-        put_varint(&mut out, ranges.len() as u64);
-        for r in ranges {
-            put_varint(&mut out, r.start);
-            put_varint(&mut out, r.end);
-        }
+        put_ranges(&mut out, ranges);
     }
     put_varint(&mut out, sync.barriers.len() as u64);
     for (episode, last_consist) in &sync.barriers {
         put_varint(&mut out, *episode);
         put_varint(&mut out, *last_consist);
     }
-    let sum = fnv1a(&out);
+    let sum = fnv1a64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -307,179 +301,121 @@ pub(crate) fn encode_checkpoint(
 pub(crate) fn decode_checkpoint(
     img: &[u8],
     layout: &Arc<Layout>,
-) -> Result<(LocalStore, SyncSnapshot), String> {
+) -> Result<(LocalStore, SyncSnapshot), WireError> {
     if img.len() < MAGIC.len() + 8 {
-        return Err(format!("image truncated to {} bytes", img.len()));
+        return Err(WireError(format!("image truncated to {} bytes", img.len())));
     }
     let (body, footer) = img.split_at(img.len() - 8);
     let stored = u64::from_le_bytes(footer.try_into().expect("8 bytes"));
-    let actual = fnv1a(body);
+    let actual = fnv1a64(body);
     if stored != actual {
-        return Err(format!(
+        return Err(WireError(format!(
             "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-        ));
+        )));
     }
-    let mut cur = Cursor::new(body);
-    if cur.take(MAGIC.len())? != MAGIC {
-        return Err("bad image magic".to_string());
+    let mut r = WireReader::new(body);
+    if r.raw(MAGIC.len(), "image magic")? != MAGIC {
+        return Err(WireError::new("bad image magic"));
     }
-    let _seq = cur.varint()?;
-    let _epoch = cur.varint()?;
+    let _seq = r.varint("image seq")?;
+    let _epoch = r.varint("image epoch")?;
     let mut store = LocalStore::new(Arc::clone(layout));
-    let nregions = cur.varint()?;
-    for _ in 0..nregions {
-        let id = cur.varint()? as usize;
-        let len = cur.varint()? as usize;
-        let data = cur.take(len)?;
+    // Each region is at least an id and a length.
+    for _ in 0..r.varint_len(2, "region count")? {
+        let id = r.varint("region id")? as usize;
+        let len = r.varint_len(1, "region length")?;
+        let data = r.raw(len, "region bytes")?;
         let desc = layout
             .region(id)
-            .ok_or_else(|| format!("image references unknown region {id}"))?;
+            .ok_or_else(|| WireError(format!("image references unknown region {id}")))?;
         if desc.used != len {
-            return Err(format!(
+            return Err(WireError(format!(
                 "region {id} image is {len} bytes but the layout uses {}",
                 desc.used
-            ));
+            )));
         }
         store.write_bytes(desc.base(), data);
     }
     let mut sync = SyncSnapshot::default();
-    let nlocks = cur.varint()?;
-    for _ in 0..nlocks {
-        let held = cur.u8()?;
-        let nranges = cur.varint()?;
-        let mut ranges = Vec::with_capacity(nranges as usize);
-        for _ in 0..nranges {
-            let start = cur.varint()?;
-            let end = cur.varint()?;
-            ranges.push(start..end);
-        }
-        sync.locks.push((held, ranges));
+    // Each lock is at least a held byte and a range count.
+    for _ in 0..r.varint_len(2, "lock count")? {
+        let held = r.u8("held code")?;
+        sync.locks.push((held, read_ranges(&mut r)?));
     }
-    let nbarriers = cur.varint()?;
-    for _ in 0..nbarriers {
-        let episode = cur.varint()?;
-        let last_consist = cur.varint()?;
+    for _ in 0..r.varint_len(2, "barrier count")? {
+        let episode = r.varint("episode")?;
+        let last_consist = r.varint("last consist")?;
         sync.barriers.push((episode, last_consist));
     }
-    if !cur.at_end() {
-        return Err("trailing bytes after image".to_string());
-    }
+    r.finish()?;
     Ok((store, sync))
+}
+
+/// Appends a varint count of `(start, end)` varint pairs.
+fn put_ranges(out: &mut Vec<u8>, ranges: &[AddrRange]) {
+    put_varint(out, ranges.len() as u64);
+    for r in ranges {
+        put_varint(out, r.start);
+        put_varint(out, r.end);
+    }
+}
+
+/// Reads a varint count of `(start, end)` varint pairs.
+fn read_ranges(r: &mut WireReader<'_>) -> Result<Vec<AddrRange>, WireError> {
+    (0..r.varint_len(2, "range count")?)
+        .map(|_| Ok(r.varint("range start")?..r.varint("range end")?))
+        .collect()
 }
 
 /// Replays one log segment's records, in order, into the store and
 /// synchronization state.
-fn replay_log(seg: &[u8], store: &mut LocalStore, sync: &mut SyncSnapshot) -> Result<(), String> {
-    let mut cur = Cursor::new(seg);
-    while !cur.at_end() {
-        match cur.u8()? {
+fn replay_log(
+    seg: &[u8],
+    store: &mut LocalStore,
+    sync: &mut SyncSnapshot,
+) -> Result<(), WireError> {
+    let mut r = WireReader::new(seg);
+    while !r.is_empty() {
+        match r.u8("record tag")? {
             REC_WRITE => {
-                let addr = cur.varint()?;
-                let len = cur.varint()? as usize;
-                let data = cur.take(len)?;
-                store.write_bytes(Addr(addr), data);
+                let addr = Addr(r.varint("write addr")?);
+                let len = r.varint_len(1, "write length")?;
+                let data = r.raw(len, "write bytes")?;
+                let fits = store
+                    .layout()
+                    .region(addr.region_index())
+                    .is_some_and(|d| addr.region_offset() + len <= d.used);
+                if !fits {
+                    return Err(WireError(format!(
+                        "log write [{addr}, +{len}) lies outside every region"
+                    )));
+                }
+                store.write_bytes(addr, data);
             }
             REC_LOCK => {
-                let idx = cur.varint()? as usize;
-                let held = cur.u8()?;
-                let nranges = cur.varint()?;
-                let mut ranges = Vec::with_capacity(nranges as usize);
-                for _ in 0..nranges {
-                    let start = cur.varint()?;
-                    let end = cur.varint()?;
-                    ranges.push(start..end);
-                }
+                let idx = r.varint("lock index")? as usize;
+                let held = r.u8("held code")?;
+                let ranges = read_ranges(&mut r)?;
                 let slot = sync
                     .locks
                     .get_mut(idx)
-                    .ok_or_else(|| format!("log references unknown lock {idx}"))?;
+                    .ok_or_else(|| WireError(format!("log references unknown lock {idx}")))?;
                 *slot = (held, ranges);
             }
             REC_BARRIER => {
-                let idx = cur.varint()? as usize;
-                let episode = cur.varint()?;
-                let last_consist = cur.varint()?;
+                let idx = r.varint("barrier index")? as usize;
+                let episode = r.varint("episode")?;
+                let last_consist = r.varint("last consist")?;
                 let slot = sync
                     .barriers
                     .get_mut(idx)
-                    .ok_or_else(|| format!("log references unknown barrier {idx}"))?;
+                    .ok_or_else(|| WireError(format!("log references unknown barrier {idx}")))?;
                 *slot = (episode, last_consist);
             }
-            tag => return Err(format!("unknown log record tag {tag}")),
+            tag => return Err(WireError(format!("unknown log record tag {tag}"))),
         }
     }
     Ok(())
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Bounds-checked decode cursor over a byte slice.
-struct Cursor<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(b: &'a [u8]) -> Cursor<'a> {
-        Cursor { b, i: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.i >= self.b.len()
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        let v = *self
-            .b
-            .get(self.i)
-            .ok_or_else(|| "record truncated".to_string())?;
-        self.i += 1;
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.i + n > self.b.len() {
-            return Err("record truncated".to_string());
-        }
-        let s = &self.b[self.i..self.i + n];
-        self.i += n;
-        Ok(s)
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err("varint overflows u64".to_string());
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -487,7 +423,9 @@ impl<'a> Cursor<'a> {
 #[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
+    use crate::wire::tests::mutate;
     use midway_mem::{LayoutBuilder, MemClass};
+    use midway_sim::SplitMix64;
 
     fn layout_with(sizes: &[usize]) -> (Arc<Layout>, Vec<Addr>) {
         let mut b = LayoutBuilder::new();
@@ -519,6 +457,78 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             self.0 >> 16
+        }
+    }
+
+    /// One checkpoint image and one WAL segment covering every record
+    /// kind, built from fixed contents.
+    fn pinned_storage() -> (Arc<Layout>, Vec<u8>, Vec<u8>) {
+        let (layout, addrs) = layout_with(&[256, 1024]);
+        let mut store = LocalStore::new(Arc::clone(&layout));
+        store.write_u64(addrs[0], 0xDEAD_BEEF);
+        store.write_bytes(addrs[1] + 100, &[1, 2, 3, 4, 5]);
+        let image = encode_checkpoint(7, 2, &store, &sample_sync());
+        let mut log = RecoveryLog::new(2, sample_sync());
+        log.log_write(addrs[1].raw() + 8, &[9, 8, 7]);
+        log.log_lock(1, 2, &[0x40_0000..0x40_0040, 0x40_0080..0x40_0100]);
+        log.log_barrier(0, 4, 300);
+        (layout, image, log.wal)
+    }
+
+    /// The checkpoint and WAL byte layouts are pinned by the FNV-1a 64 of
+    /// a fixed image and segment.
+    #[test]
+    fn checkpoint_and_wal_bytes_are_pinned() {
+        let (_, image, wal) = pinned_storage();
+        assert_eq!(
+            (image.len(), fnv1a64(&image)),
+            (1317, 0x78ec_6df4_5045_8d50)
+        );
+        assert_eq!((wal.len(), fnv1a64(&wal)), (34, 0x6200_ad13_7594_da1f));
+    }
+
+    /// A log length prefix of `u64::MAX` is an error, not an overflow.
+    #[test]
+    fn oversized_log_lengths_are_rejected() {
+        let (layout, addrs) = layout_with(&[64]);
+        let mut write = vec![REC_WRITE];
+        put_varint(&mut write, addrs[0].raw());
+        put_varint(&mut write, u64::MAX);
+        let mut lock = vec![REC_LOCK, 0, 2];
+        put_varint(&mut lock, u64::MAX);
+        for seg in [write, lock] {
+            let mut store = LocalStore::new(Arc::clone(&layout));
+            let mut sync = sample_sync();
+            assert!(replay_log(&seg, &mut store, &mut sync).is_err());
+        }
+    }
+
+    /// Flipped, truncated and spliced images and log segments decode to
+    /// `Ok` or `Err`, never a panic. Images are re-sealed after mutation
+    /// so the body parser, not the checksum, sees the damage.
+    #[test]
+    fn mutated_images_and_logs_never_panic() {
+        let (layout, image, wal) = pinned_storage();
+        let mut rng = SplitMix64::new(0xf022_0001);
+        for _ in 0..3000 {
+            let mut img = image.clone();
+            for _ in 0..1 + rng.next_below(3) {
+                img = mutate(&mut rng, &img, &image);
+            }
+            if img.len() >= 8 {
+                let body = img.len() - 8;
+                let sum = fnv1a64(&img[..body]);
+                img[body..].copy_from_slice(&sum.to_le_bytes());
+            }
+            let _ = decode_checkpoint(&img, &layout);
+
+            let mut seg = wal.clone();
+            for _ in 0..1 + rng.next_below(3) {
+                seg = mutate(&mut rng, &seg, &wal);
+            }
+            let mut store = LocalStore::new(Arc::clone(&layout));
+            let mut sync = sample_sync();
+            let _ = replay_log(&seg, &mut store, &mut sync);
         }
     }
 

@@ -43,7 +43,8 @@ fn encode_binding(b: &Binding, out: &mut Vec<u8>) {
 
 fn decode_binding(r: &mut WireReader) -> Result<Binding, WireError> {
     let version = r.u64("binding version")?;
-    let n = r.u32("binding range count")? as usize;
+    // Each range is two `u64`s.
+    let n = r.u32_len(16, "binding range count")?;
     let mut ranges = Vec::with_capacity(n);
     for _ in 0..n {
         let start = r.u64("range start")?;
@@ -66,8 +67,9 @@ fn encode_set(set: &UpdateSet, out: &mut Vec<u8>) {
 }
 
 fn decode_set(r: &mut WireReader) -> Result<UpdateSet, WireError> {
-    let n = r.u32("update count")? as usize;
-    let mut items = Vec::with_capacity(n.min(1 << 16));
+    // Each item is an address, a timestamp and a length prefix.
+    let n = r.u32_len(20, "update count")?;
+    let mut items = Vec::with_capacity(n);
     for _ in 0..n {
         let addr = r.u64("update addr")?;
         let ts = r.u64("update ts")?;
@@ -154,8 +156,9 @@ impl Wire for GrantPayload {
                 })
             }
             2 => {
-                let n = r.u32("vm update count")? as usize;
-                let mut updates = Vec::with_capacity(n.min(1 << 16));
+                // Each update is an incarnation, a flag and a set count.
+                let n = r.u32_len(13, "vm update count")?;
+                let mut updates = Vec::with_capacity(n);
                 for _ in 0..n {
                     updates.push(std::sync::Arc::new(decode_update(r)?));
                 }
@@ -342,9 +345,10 @@ impl Wire for NetMsg {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use midway_net::{decode_exact, encode_to_vec};
+    use midway_net::{decode_exact, encode_to_vec, fnv1a64};
+    use midway_sim::SplitMix64;
 
     fn roundtrip(msg: &NetMsg) -> NetMsg {
         let bytes = encode_to_vec(msg);
@@ -372,9 +376,9 @@ mod tests {
         Binding::from_parts(vec![0x40_0000..0x40_0100, 0x41_0000..0x41_0040], 3)
     }
 
-    #[test]
-    fn every_variant_roundtrips() {
-        let msgs = vec![
+    /// One message per `NetMsg` and `DsmMsg` variant.
+    fn sample_msgs() -> Vec<NetMsg> {
+        vec![
             NetMsg::Tick,
             NetMsg::RetxCheck { peer: 5 },
             NetMsg::Crash { down: 12_345 },
@@ -410,17 +414,11 @@ mod tests {
                     time: 100,
                 },
             },
-        ];
-        for msg in &msgs {
-            let back = roundtrip(msg);
-            // NetMsg has no PartialEq; compare debug forms, which show
-            // every field.
-            assert_eq!(format!("{msg:?}"), format!("{back:?}"));
-        }
+        ]
     }
 
-    #[test]
-    fn grant_payloads_roundtrip() {
+    /// One grant per `GrantPayload` variant.
+    fn sample_grants() -> Vec<NetMsg> {
         let payloads = vec![
             GrantPayload::Current,
             GrantPayload::Rt {
@@ -460,14 +458,122 @@ mod tests {
                 binding: sample_binding(),
             },
         ];
-        for payload in payloads {
-            let msg = NetMsg::Raw(DsmMsg::Grant {
-                lock: LockId(4),
-                mode: Mode::Exclusive,
-                payload,
-            });
-            let back = roundtrip(&msg);
+        payloads
+            .into_iter()
+            .map(|payload| {
+                NetMsg::Raw(DsmMsg::Grant {
+                    lock: LockId(4),
+                    mode: Mode::Exclusive,
+                    payload,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_variant_roundtrips() {
+        for msg in &sample_msgs() {
+            let back = roundtrip(msg);
+            // NetMsg has no PartialEq; compare debug forms, which show
+            // every field.
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+        }
+    }
+
+    #[test]
+    fn grant_payloads_roundtrip() {
+        for msg in &sample_grants() {
+            let back = roundtrip(msg);
+            assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+        }
+    }
+
+    /// The frame layout is pinned by the FNV-1a 64 of every sample
+    /// message, recorded before the codec moved onto the shared reader.
+    #[test]
+    fn netmsg_bytes_are_pinned() {
+        let got: Vec<u64> = sample_msgs()
+            .iter()
+            .chain(&sample_grants())
+            .map(|m| fnv1a64(&encode_to_vec(m)))
+            .collect();
+        let pinned = [
+            0xaf63_be4c_8601_b992,
+            0x91f0_c748_328f_7576,
+            0x2c9e_3c37_9946_cb69,
+            0xd98c_64e2_e184_dfbf,
+            0xa453_8931_da4b_2dec,
+            0xc586_3cd4_a348_06db,
+            0x2329_be05_fe75_155f,
+            0x53ed_e9fa_547c_d577,
+            0xb9cd_fe4a_ab78_9808,
+            0x296e_f89c_7c69_4d0f,
+            0xabc9_7051_ccab_7b2b,
+            0x689e_2e7e_fa80_8671,
+            0x350c_6f36_cf4d_8ee6,
+            0x3247_3367_7d03_b383,
+            0xcf99_df81_c68e_56cc,
+        ];
+        assert_eq!(got, pinned);
+    }
+
+    /// A frame whose binding claims 0xFFFF_FFFF ranges is rejected before
+    /// anything is sized from the count.
+    #[test]
+    fn oversized_counts_are_rejected_without_allocating() {
+        let mut frame = vec![0, 2]; // NetMsg::Raw, DsmMsg::Grant
+        put_u32(&mut frame, 4); // lock
+        frame.push(0); // exclusive
+        frame.push(3); // GrantPayload::Flat
+        put_u32(&mut frame, 0); // empty update set
+        put_u64(&mut frame, 1); // binding version
+        put_u32(&mut frame, u32::MAX); // binding range count
+        let err = decode_exact::<NetMsg>(&frame).unwrap_err();
+        assert!(err.0.contains("binding range count"), "{err}");
+    }
+
+    /// One random mutation of `input`: a bit flip, a truncation, a splice of
+    /// `input`'s prefix onto a suffix of `donor`, or a maximal ten-byte varint
+    /// spliced in at a random position (so counts and lengths go huge).
+    pub(crate) fn mutate(rng: &mut SplitMix64, input: &[u8], donor: &[u8]) -> Vec<u8> {
+        let mut out = input.to_vec();
+        let upto = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64 + 1) as usize;
+        match rng.next_below(4) {
+            0 if !out.is_empty() => {
+                let i = upto(rng, out.len() - 1);
+                out[i] ^= 1 << rng.next_below(8);
+            }
+            1 => out.truncate(upto(rng, out.len())),
+            2 => {
+                let at = upto(rng, out.len());
+                out.splice(at..at, [0xff; 9].into_iter().chain([0x01]));
+            }
+            _ => {
+                out.truncate(upto(rng, out.len()));
+                out.extend_from_slice(&donor[upto(rng, donor.len())..]);
+            }
+        }
+        out
+    }
+
+    /// Flipped, truncated and spliced frames decode to `Ok` or `Err`,
+    /// never a panic or an allocation sized by a corrupt count.
+    #[test]
+    fn mutated_frames_never_panic() {
+        let pool: Vec<Vec<u8>> = sample_msgs()
+            .iter()
+            .chain(&sample_grants())
+            .map(encode_to_vec)
+            .collect();
+        let pick = |rng: &mut SplitMix64| &pool[rng.next_below(pool.len() as u64) as usize];
+        let mut rng = SplitMix64::new(0xf022_0003);
+        for _ in 0..5000 {
+            let mut frame = pick(&mut rng).clone();
+            for _ in 0..1 + rng.next_below(3) {
+                let donor = pick(&mut rng);
+                frame = mutate(&mut rng, &frame, donor);
+            }
+            let _ = decode_exact::<NetMsg>(&frame);
         }
     }
 

@@ -33,5 +33,6 @@ pub use real::{
 };
 pub use transport::Transport;
 pub use wire::{
-    decode_exact, encode_to_vec, put_bytes, put_u32, put_u64, Wire, WireError, WireReader,
+    decode_exact, encode_to_vec, fnv1a64, put_bytes, put_u32, put_u64, put_varint, Wire, WireError,
+    WireReader,
 };

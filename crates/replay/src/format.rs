@@ -4,24 +4,20 @@
 //!
 //! ```text
 //! magic   b"MWTR"                      (4 raw bytes)
-//! version 3                            (decoder accepts 1 through 3)
+//! version 5                            (the only version decoded)
 //! meta    app, scale (strings: length + UTF-8 bytes), verified (1 byte),
 //!         backend (1 byte: `BackendKind::wire_tag`), procs, history_cap,
 //!         cost model (Table 1 fields; µs fields as f64 bit patterns),
 //!         net model (4 varints),
-//!         fault plan (v3+: enabled (1 byte) + 7 varints) and reliable
-//!         channel params (v3+: 3 varints) — absent in v1/v2, which
-//!         decode as "perfect network, default channel",
-//!         home map (v4+: tag (1 byte), sharded adds a seed varint) and
-//!         barrier shape (v4+: tag (1 byte), tree adds an arity varint)
-//!         — absent before v4, which decodes as "modulo homes, flat
-//!         barriers",
-//!         crash plan (v5+: count + count × (proc, at, down) varints) and
-//!         checkpoint_every (v5+: 1 varint) — absent before v5, which
-//!         decodes as "no crashes, checkpointing off",
+//!         fault plan (enabled (1 byte) + 7 varints),
+//!         reliable channel params (3 varints),
+//!         home map (tag (1 byte), sharded adds a seed varint),
+//!         barrier shape (tag (1 byte), tree adds an arity varint),
+//!         crash plan (count + count × (proc, at, down) varints),
+//!         checkpoint_every (1 varint),
 //!         finish_cycles, messages,
-//!         counters: procs × 16 varints (Table 2 field order), plus 8
-//!         crash/recovery varints in v5+
+//!         counters: procs × 24 varints (Table 2 field order, then the
+//!         8 crash/recovery counters)
 //! blueprint
 //!         allocs: n × (name, addr, len, private (1 byte), line_shift)
 //!         locks: n × ranges           (ranges: n × (start, len))
@@ -38,13 +34,18 @@
 //! footer  FNV-1a 64 checksum of every preceding byte (8 bytes LE)
 //! ```
 //!
-//! Decoding verifies the magic, version and checksum before anything
-//! else, and every read is bounds-checked, so truncated or corrupted
-//! files are rejected rather than misread.
+//! The format is built on the workspace's shared codec (`midway_net`'s
+//! varints, bounds-checked reader and FNV-1a 64, re-exported by
+//! `midway_core`). Decoding verifies the magic, checksum and version
+//! before anything else, every read is bounds-checked, and no length
+//! prefix may claim more items than the bytes that remain, so truncated
+//! or corrupted files are rejected rather than misread. A file of any
+//! other version is rejected: traces are a cache, and the harnesses
+//! re-record on any decode error.
 
 use midway_core::{
-    AllocSpec, BackendKind, BarrierShape, BarrierSpec, Counters, HomeMap, MidwayConfig,
-    ReliableParams, SpecBlueprint, TraceOp,
+    fnv1a64, put_u64, put_varint, AllocSpec, BackendKind, BarrierShape, BarrierSpec, Counters,
+    HomeMap, MidwayConfig, ReliableParams, SpecBlueprint, TraceOp, WireError, WireReader,
 };
 use midway_mem::AddrRange;
 use midway_sim::{CrashEvent, FaultPlan, NetModel, MAX_CRASHES};
@@ -54,21 +55,10 @@ use crate::{Trace, TraceMeta};
 
 /// File magic: "MWTR" (MidWay TRace).
 pub const MAGIC: [u8; 4] = *b"MWTR";
-/// Current format version. Version 2 added the `hybrid` backend tag (the
-/// byte layout is unchanged — backend tags are append-only); version 3
-/// added the fault plan and reliable-channel parameters to the header so
-/// faulty runs replay deterministically; version 4 added the sync-home
-/// placement map and barrier shape so scale-out runs (sharded homes,
-/// combining-tree barriers) replay bit-for-bit; version 5 added the
-/// processor-crash plan, the checkpoint interval, and the crash/recovery
-/// counters so crashed-and-recovered runs replay bit-for-bit. Older files
-/// still decode: v1/v2 as fault-free, anything before v4 as modulo homes
-/// with flat barriers, and anything before v5 as crash-free with
-/// checkpointing off — exactly the configuration those traces ran under.
+/// The format version, the only one the decoder accepts. Version 5 added
+/// the processor-crash plan, the checkpoint interval and the
+/// crash/recovery counters to the header.
 pub const VERSION: u64 = 5;
-
-/// The oldest format version the decoder accepts.
-pub const MIN_VERSION: u64 = 1;
 
 /// Why a trace file was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,10 +69,10 @@ pub enum TraceError {
     BadVersion(u64),
     /// The checksum footer does not match the contents.
     BadChecksum,
-    /// The file ends in the middle of a field.
+    /// The file is too short to hold the magic and the checksum footer.
     Truncated,
-    /// A field holds a value the format does not allow.
-    Malformed(&'static str),
+    /// The body is truncated or holds a value the format does not allow.
+    Malformed(String),
     /// The file could not be read at all.
     Io(String),
 }
@@ -102,301 +92,256 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// FNV-1a 64-bit checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<WireError> for TraceError {
+    fn from(e: WireError) -> TraceError {
+        TraceError::Malformed(e.0)
     }
-    h
 }
 
 // ---------------------------------------------------------------- encoding
 
-struct Writer {
-    buf: Vec<u8>,
+fn put_string(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
 }
 
-impl Writer {
-    fn varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+fn put_ranges(out: &mut Vec<u8>, ranges: &[AddrRange]) {
+    put_varint(out, ranges.len() as u64);
+    for r in ranges {
+        put_varint(out, r.start);
+        put_varint(out, r.end - r.start);
     }
+}
 
-    fn byte(&mut self, b: u8) {
-        self.buf.push(b);
+/// The cost model's cycle fields, in file order (the encoder and decoder
+/// share this one list).
+fn cost_cycles(c: &mut CostModel) -> [&mut u64; 16] {
+    [
+        &mut c.dirtybit_set_word,
+        &mut c.dirtybit_set_double,
+        &mut c.dirtybit_set_private,
+        &mut c.dirtybit_set_area_base,
+        &mut c.dirtybit_read_clean,
+        &mut c.dirtybit_read_dirty,
+        &mut c.dirtybit_update,
+        &mut c.dirtybit_set_queue,
+        &mut c.dirtybit_set_two_level,
+        &mut c.page_write_fault,
+        &mut c.page_diff_uniform,
+        &mut c.page_diff_alternating,
+        &mut c.protect_rw,
+        &mut c.protect_ro,
+        &mut c.copy_per_kb_cold,
+        &mut c.copy_per_kb_warm,
+    ]
+}
+
+/// The cost model's measured-µs fields, in file order.
+fn cost_us(c: &mut CostModel) -> [&mut f64; 4] {
+    [
+        &mut c.dirtybit_read_clean_us,
+        &mut c.dirtybit_read_dirty_us,
+        &mut c.dirtybit_update_us,
+        &mut c.page_diff_uniform_us,
+    ]
+}
+
+/// Every counter, in file order: Table 2's fields, then crash/recovery.
+fn counter_fields(c: &mut Counters) -> [&mut u64; 24] {
+    [
+        &mut c.dirtybits_set,
+        &mut c.dirtybits_misclassified,
+        &mut c.clean_dirtybits_read,
+        &mut c.dirty_dirtybits_read,
+        &mut c.dirtybits_updated,
+        &mut c.write_faults,
+        &mut c.pages_diffed,
+        &mut c.pages_write_protected,
+        &mut c.twin_bytes_updated,
+        &mut c.data_bytes_sent,
+        &mut c.data_bytes_received,
+        &mut c.redundant_bytes_received,
+        &mut c.lock_acquires,
+        &mut c.lock_transfers_served,
+        &mut c.full_data_sends,
+        &mut c.barrier_waits,
+        &mut c.crashes,
+        &mut c.downtime_cycles,
+        &mut c.fenced_messages,
+        &mut c.checkpoints_written,
+        &mut c.checkpoint_bytes,
+        &mut c.wal_bytes_logged,
+        &mut c.recovery_replay_bytes,
+        &mut c.recovery_cycles,
+    ]
+}
+
+fn put_cost(out: &mut Vec<u8>, c: &CostModel) {
+    let mut c = *c;
+    put_varint(out, u64::from(c.mhz));
+    put_varint(out, c.page_size as u64);
+    for v in cost_cycles(&mut c) {
+        put_varint(out, *v);
     }
-
-    fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    for v in cost_us(&mut c) {
+        put_u64(out, v.to_bits());
     }
+}
 
-    fn string(&mut self, s: &str) {
-        self.varint(s.len() as u64);
-        self.raw(s.as_bytes());
-    }
+fn put_net(out: &mut Vec<u8>, n: &NetModel) {
+    put_varint(out, n.latency_cycles);
+    put_varint(out, n.per_byte_millicycles);
+    put_varint(out, n.send_overhead_cycles);
+    put_varint(out, n.recv_overhead_cycles);
+}
 
-    fn f64(&mut self, v: f64) {
-        self.raw(&v.to_bits().to_le_bytes());
-    }
+fn put_faults(out: &mut Vec<u8>, f: &FaultPlan) {
+    out.push(u8::from(f.enabled));
+    put_varint(out, f.seed);
+    put_varint(out, u64::from(f.drop_ppm));
+    put_varint(out, u64::from(f.dup_ppm));
+    put_varint(out, u64::from(f.reorder_ppm));
+    put_varint(out, u64::from(f.delay_ppm));
+    put_varint(out, f.max_delay_cycles);
+    put_varint(out, f.reorder_window_cycles);
+}
 
-    fn ranges(&mut self, ranges: &[AddrRange]) {
-        self.varint(ranges.len() as u64);
-        for r in ranges {
-            self.varint(r.start);
-            self.varint(r.end - r.start);
-        }
-    }
+fn put_reliable(out: &mut Vec<u8>, p: &ReliableParams) {
+    put_varint(out, p.rto_cycles);
+    put_varint(out, u64::from(p.backoff_cap));
+    put_varint(out, p.timer_cost_cycles);
+}
 
-    fn cost(&mut self, c: &CostModel) {
-        self.varint(u64::from(c.mhz));
-        self.varint(c.page_size as u64);
-        for v in [
-            c.dirtybit_set_word,
-            c.dirtybit_set_double,
-            c.dirtybit_set_private,
-            c.dirtybit_set_area_base,
-            c.dirtybit_read_clean,
-            c.dirtybit_read_dirty,
-            c.dirtybit_update,
-            c.dirtybit_set_queue,
-            c.dirtybit_set_two_level,
-            c.page_write_fault,
-            c.page_diff_uniform,
-            c.page_diff_alternating,
-            c.protect_rw,
-            c.protect_ro,
-            c.copy_per_kb_cold,
-            c.copy_per_kb_warm,
-        ] {
-            self.varint(v);
-        }
-        for v in [
-            c.dirtybit_read_clean_us,
-            c.dirtybit_read_dirty_us,
-            c.dirtybit_update_us,
-            c.page_diff_uniform_us,
-        ] {
-            self.f64(v);
-        }
-    }
-
-    fn net(&mut self, n: &NetModel) {
-        self.varint(n.latency_cycles);
-        self.varint(n.per_byte_millicycles);
-        self.varint(n.send_overhead_cycles);
-        self.varint(n.recv_overhead_cycles);
-    }
-
-    fn faults(&mut self, f: &FaultPlan) {
-        self.byte(u8::from(f.enabled));
-        self.varint(f.seed);
-        self.varint(u64::from(f.drop_ppm));
-        self.varint(u64::from(f.dup_ppm));
-        self.varint(u64::from(f.reorder_ppm));
-        self.varint(u64::from(f.delay_ppm));
-        self.varint(f.max_delay_cycles);
-        self.varint(f.reorder_window_cycles);
-    }
-
-    fn reliable(&mut self, p: &ReliableParams) {
-        self.varint(p.rto_cycles);
-        self.varint(u64::from(p.backoff_cap));
-        self.varint(p.timer_cost_cycles);
-    }
-
-    fn home_map(&mut self, h: HomeMap) {
-        match h {
-            HomeMap::Modulo => self.byte(0),
-            HomeMap::Sharded { seed } => {
-                self.byte(1);
-                self.varint(seed);
-            }
-        }
-    }
-
-    fn barrier_shape(&mut self, b: BarrierShape) {
-        match b {
-            BarrierShape::Flat => self.byte(0),
-            BarrierShape::Tree { arity } => {
-                self.byte(1);
-                self.varint(u64::from(arity));
-            }
-        }
-    }
-
-    fn crash_plan(&mut self, f: &FaultPlan) {
-        let crashes = f.crashes();
-        self.varint(crashes.len() as u64);
-        for c in crashes {
-            self.varint(u64::from(c.proc));
-            self.varint(c.at);
-            self.varint(c.down);
-        }
-    }
-
-    fn counters(&mut self, c: &Counters, version: u64) {
-        for v in [
-            c.dirtybits_set,
-            c.dirtybits_misclassified,
-            c.clean_dirtybits_read,
-            c.dirty_dirtybits_read,
-            c.dirtybits_updated,
-            c.write_faults,
-            c.pages_diffed,
-            c.pages_write_protected,
-            c.twin_bytes_updated,
-            c.data_bytes_sent,
-            c.data_bytes_received,
-            c.redundant_bytes_received,
-            c.lock_acquires,
-            c.lock_transfers_served,
-            c.full_data_sends,
-            c.barrier_waits,
-        ] {
-            self.varint(v);
-        }
-        if version >= 5 {
-            for v in [
-                c.crashes,
-                c.downtime_cycles,
-                c.fenced_messages,
-                c.checkpoints_written,
-                c.checkpoint_bytes,
-                c.wal_bytes_logged,
-                c.recovery_replay_bytes,
-                c.recovery_cycles,
-            ] {
-                self.varint(v);
-            }
-        }
-    }
-
-    fn op(&mut self, op: &TraceOp) {
-        match op {
-            TraceOp::Work { cycles } => {
-                self.byte(0);
-                self.varint(*cycles);
-            }
-            TraceOp::Idle { cycles } => {
-                self.byte(1);
-                self.varint(*cycles);
-            }
-            TraceOp::Write { addr, data } => {
-                self.byte(2);
-                self.varint(*addr);
-                self.varint(data.len() as u64);
-                self.raw(data);
-            }
-            TraceOp::Acquire { lock, exclusive } => {
-                self.byte(3);
-                self.varint(u64::from(*lock));
-                self.byte(u8::from(*exclusive));
-            }
-            TraceOp::Release { lock, exclusive } => {
-                self.byte(4);
-                self.varint(u64::from(*lock));
-                self.byte(u8::from(*exclusive));
-            }
-            TraceOp::Rebind { lock, ranges } => {
-                self.byte(5);
-                self.varint(u64::from(*lock));
-                self.ranges(ranges);
-            }
-            TraceOp::Barrier { barrier } => {
-                self.byte(6);
-                self.varint(u64::from(*barrier));
-            }
+fn put_home_map(out: &mut Vec<u8>, h: HomeMap) {
+    match h {
+        HomeMap::Modulo => out.push(0),
+        HomeMap::Sharded { seed } => {
+            out.push(1);
+            put_varint(out, seed);
         }
     }
 }
 
-/// Encodes a trace into the `MWTR` byte format at the current version.
+fn put_barrier_shape(out: &mut Vec<u8>, b: BarrierShape) {
+    match b {
+        BarrierShape::Flat => out.push(0),
+        BarrierShape::Tree { arity } => {
+            out.push(1);
+            put_varint(out, u64::from(arity));
+        }
+    }
+}
+
+fn put_crash_plan(out: &mut Vec<u8>, f: &FaultPlan) {
+    let crashes = f.crashes();
+    put_varint(out, crashes.len() as u64);
+    for c in crashes {
+        put_varint(out, u64::from(c.proc));
+        put_varint(out, c.at);
+        put_varint(out, c.down);
+    }
+}
+
+fn put_counters(out: &mut Vec<u8>, c: &Counters) {
+    let mut c = *c;
+    for v in counter_fields(&mut c) {
+        put_varint(out, *v);
+    }
+}
+
+fn put_op(out: &mut Vec<u8>, op: &TraceOp) {
+    match op {
+        TraceOp::Work { cycles } => {
+            out.push(0);
+            put_varint(out, *cycles);
+        }
+        TraceOp::Idle { cycles } => {
+            out.push(1);
+            put_varint(out, *cycles);
+        }
+        TraceOp::Write { addr, data } => {
+            out.push(2);
+            put_varint(out, *addr);
+            put_varint(out, data.len() as u64);
+            out.extend_from_slice(data);
+        }
+        TraceOp::Acquire { lock, exclusive } => {
+            out.push(3);
+            put_varint(out, u64::from(*lock));
+            out.push(u8::from(*exclusive));
+        }
+        TraceOp::Release { lock, exclusive } => {
+            out.push(4);
+            put_varint(out, u64::from(*lock));
+            out.push(u8::from(*exclusive));
+        }
+        TraceOp::Rebind { lock, ranges } => {
+            out.push(5);
+            put_varint(out, u64::from(*lock));
+            put_ranges(out, ranges);
+        }
+        TraceOp::Barrier { barrier } => {
+            out.push(6);
+            put_varint(out, u64::from(*barrier));
+        }
+    }
+}
+
+/// Encodes a trace into the `MWTR` byte format.
 pub fn encode(trace: &Trace) -> Vec<u8> {
-    encode_version(trace, VERSION)
-}
-
-/// Encodes a trace at an *older* format version, omitting every section
-/// that version lacked. This exists so compatibility tests can synthesize
-/// genuine old-version files without keeping binary fixtures in the repo;
-/// the trace must not rely on features the target version cannot express
-/// (the caller is responsible — nothing here checks).
-///
-/// # Panics
-///
-/// Panics if `version` is outside the decoder's accepted range.
-pub fn encode_version(trace: &Trace, version: u64) -> Vec<u8> {
-    assert!(
-        (MIN_VERSION..=VERSION).contains(&version),
-        "cannot encode unknown version {version}"
-    );
-    let mut w = Writer { buf: Vec::new() };
-    w.raw(&MAGIC);
-    w.varint(version);
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    put_varint(&mut out, VERSION);
 
     let m = &trace.meta;
-    w.string(&m.app);
-    w.string(&m.scale);
-    w.byte(u8::from(m.verified));
-    w.byte(m.cfg.backend.wire_tag());
-    w.varint(m.cfg.procs as u64);
-    w.varint(m.cfg.history_cap as u64);
-    w.cost(&m.cfg.cost);
-    w.net(&m.cfg.net);
-    if version >= 3 {
-        w.faults(&m.cfg.faults);
-        w.reliable(&m.cfg.reliable);
-    }
-    if version >= 4 {
-        w.home_map(m.cfg.home_map);
-        w.barrier_shape(m.cfg.barrier);
-    }
-    if version >= 5 {
-        w.crash_plan(&m.cfg.faults);
-        w.varint(u64::from(m.cfg.checkpoint_every));
-    }
-    w.varint(m.finish_cycles);
-    w.varint(m.messages);
+    put_string(&mut out, &m.app);
+    put_string(&mut out, &m.scale);
+    out.push(u8::from(m.verified));
+    out.push(m.cfg.backend.wire_tag());
+    put_varint(&mut out, m.cfg.procs as u64);
+    put_varint(&mut out, m.cfg.history_cap as u64);
+    put_cost(&mut out, &m.cfg.cost);
+    put_net(&mut out, &m.cfg.net);
+    put_faults(&mut out, &m.cfg.faults);
+    put_reliable(&mut out, &m.cfg.reliable);
+    put_home_map(&mut out, m.cfg.home_map);
+    put_barrier_shape(&mut out, m.cfg.barrier);
+    put_crash_plan(&mut out, &m.cfg.faults);
+    put_varint(&mut out, u64::from(m.cfg.checkpoint_every));
+    put_varint(&mut out, m.finish_cycles);
+    put_varint(&mut out, m.messages);
     assert_eq!(
         m.counters.len(),
         m.cfg.procs,
         "one counter set per processor"
     );
     for c in &m.counters {
-        w.counters(c, version);
+        put_counters(&mut out, c);
     }
 
     let bp = &trace.blueprint;
-    w.varint(bp.allocs.len() as u64);
+    put_varint(&mut out, bp.allocs.len() as u64);
     for a in &bp.allocs {
-        w.string(&a.name);
-        w.varint(a.addr);
-        w.varint(a.len as u64);
-        w.byte(u8::from(a.private));
-        w.varint(u64::from(a.line_shift));
+        put_string(&mut out, &a.name);
+        put_varint(&mut out, a.addr);
+        put_varint(&mut out, a.len as u64);
+        out.push(u8::from(a.private));
+        put_varint(&mut out, u64::from(a.line_shift));
     }
-    w.varint(bp.locks.len() as u64);
+    put_varint(&mut out, bp.locks.len() as u64);
     for l in &bp.locks {
-        w.ranges(l);
+        put_ranges(&mut out, l);
     }
-    w.varint(bp.barriers.len() as u64);
+    put_varint(&mut out, bp.barriers.len() as u64);
     for b in &bp.barriers {
-        w.ranges(&b.ranges);
+        put_ranges(&mut out, &b.ranges);
         match &b.partitions {
-            None => w.byte(0),
+            None => out.push(0),
             Some(ps) => {
-                w.byte(1);
-                w.varint(ps.len() as u64);
+                out.push(1);
+                put_varint(&mut out, ps.len() as u64);
                 for p in ps {
-                    w.ranges(p);
+                    put_ranges(&mut out, p);
                 }
             }
         }
@@ -404,264 +349,169 @@ pub fn encode_version(trace: &Trace, version: u64) -> Vec<u8> {
 
     assert_eq!(trace.ops.len(), m.cfg.procs, "one op stream per processor");
     for stream in &trace.ops {
-        w.varint(stream.len() as u64);
+        put_varint(&mut out, stream.len() as u64);
         for op in stream {
-            w.op(op);
+            put_op(&mut out, op);
         }
     }
 
-    let sum = fnv1a64(&w.buf);
-    w.raw(&sum.to_le_bytes());
-    w.buf
+    let sum = fnv1a64(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
 }
 
 // ---------------------------------------------------------------- decoding
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_flag(r: &mut WireReader<'_>, what: &str) -> Result<bool, WireError> {
+    Ok(r.u8(what)? != 0)
 }
 
-impl<'a> Reader<'a> {
-    fn byte(&mut self) -> Result<u8, TraceError> {
-        let b = *self.buf.get(self.pos).ok_or(TraceError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
+fn get_u32(r: &mut WireReader<'_>, what: &str) -> Result<u32, WireError> {
+    u32::try_from(r.varint(what)?).map_err(|_| WireError::new("field exceeds u32"))
+}
 
-    fn varint(&mut self) -> Result<u64, TraceError> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(TraceError::Malformed("varint longer than 64 bits"))
-    }
+fn get_string(r: &mut WireReader<'_>, what: &str) -> Result<String, WireError> {
+    let n = r.varint_len(1, what)?;
+    String::from_utf8(r.raw(n, what)?.to_vec()).map_err(|_| WireError::new("non-UTF-8 string"))
+}
 
-    fn len(&mut self, of_at_least: usize) -> Result<usize, TraceError> {
-        // A length prefix can never exceed the bytes that remain; checking
-        // here keeps a corrupted length from attempting a huge allocation.
-        let n = self.varint()? as usize;
-        if n.saturating_mul(of_at_least.max(1)) > self.buf.len() - self.pos {
-            return Err(TraceError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn raw(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        let end = self.pos.checked_add(n).ok_or(TraceError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(TraceError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn string(&mut self) -> Result<String, TraceError> {
-        let n = self.len(1)?;
-        let bytes = self.raw(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::Malformed("non-UTF-8 string"))
-    }
-
-    fn f64(&mut self) -> Result<f64, TraceError> {
-        let bytes: [u8; 8] = self.raw(8)?.try_into().expect("8 bytes");
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
-
-    fn ranges(&mut self) -> Result<Vec<AddrRange>, TraceError> {
-        let n = self.len(2)?;
-        (0..n)
-            .map(|_| {
-                let start = self.varint()?;
-                let len = self.varint()?;
-                Ok(start..start + len)
-            })
-            .collect()
-    }
-
-    fn cost(&mut self) -> Result<CostModel, TraceError> {
-        let mut c = CostModel::r3000_mach();
-        c.mhz = self.varint()? as u32;
-        c.page_size = self.varint()? as usize;
-        for f in [
-            &mut c.dirtybit_set_word,
-            &mut c.dirtybit_set_double,
-            &mut c.dirtybit_set_private,
-            &mut c.dirtybit_set_area_base,
-            &mut c.dirtybit_read_clean,
-            &mut c.dirtybit_read_dirty,
-            &mut c.dirtybit_update,
-            &mut c.dirtybit_set_queue,
-            &mut c.dirtybit_set_two_level,
-            &mut c.page_write_fault,
-            &mut c.page_diff_uniform,
-            &mut c.page_diff_alternating,
-            &mut c.protect_rw,
-            &mut c.protect_ro,
-            &mut c.copy_per_kb_cold,
-            &mut c.copy_per_kb_warm,
-        ] {
-            *f = self.varint()?;
-        }
-        for f in [
-            &mut c.dirtybit_read_clean_us,
-            &mut c.dirtybit_read_dirty_us,
-            &mut c.dirtybit_update_us,
-            &mut c.page_diff_uniform_us,
-        ] {
-            *f = self.f64()?;
-        }
-        Ok(c)
-    }
-
-    fn net(&mut self) -> Result<NetModel, TraceError> {
-        Ok(NetModel {
-            latency_cycles: self.varint()?,
-            per_byte_millicycles: self.varint()?,
-            send_overhead_cycles: self.varint()?,
-            recv_overhead_cycles: self.varint()?,
+fn get_ranges(r: &mut WireReader<'_>) -> Result<Vec<AddrRange>, WireError> {
+    // Each range is at least a start and a length varint.
+    (0..r.varint_len(2, "range count")?)
+        .map(|_| {
+            let start = r.varint("range start")?;
+            let end = start
+                .checked_add(r.varint("range length")?)
+                .ok_or_else(|| WireError::new("range end overflows u64"))?;
+            Ok(start..end)
         })
-    }
+        .collect()
+}
 
-    fn faults(&mut self) -> Result<FaultPlan, TraceError> {
-        let enabled = self.byte()? != 0;
-        let mut f = FaultPlan::seeded(self.varint()?);
-        f.enabled = enabled;
-        f.drop_ppm = self.u32field()?;
-        f.dup_ppm = self.u32field()?;
-        f.reorder_ppm = self.u32field()?;
-        f.delay_ppm = self.u32field()?;
-        f.max_delay_cycles = self.varint()?;
-        f.reorder_window_cycles = self.varint()?;
-        Ok(f)
+fn get_cost(r: &mut WireReader<'_>) -> Result<CostModel, WireError> {
+    let mut c = CostModel::r3000_mach();
+    c.mhz = r.varint("mhz")? as u32;
+    c.page_size = r.varint("page size")? as usize;
+    for f in cost_cycles(&mut c) {
+        *f = r.varint("cost")?;
     }
-
-    fn u32field(&mut self) -> Result<u32, TraceError> {
-        u32::try_from(self.varint()?).map_err(|_| TraceError::Malformed("field exceeds u32"))
+    for f in cost_us(&mut c) {
+        *f = f64::from_bits(r.u64("cost µs")?);
     }
+    Ok(c)
+}
 
-    fn reliable(&mut self) -> Result<ReliableParams, TraceError> {
-        Ok(ReliableParams {
-            rto_cycles: self.varint()?,
-            backoff_cap: self.u32field()?,
-            timer_cost_cycles: self.varint()?,
-        })
+fn get_net(r: &mut WireReader<'_>) -> Result<NetModel, WireError> {
+    Ok(NetModel {
+        latency_cycles: r.varint("latency")?,
+        per_byte_millicycles: r.varint("per-byte cost")?,
+        send_overhead_cycles: r.varint("send overhead")?,
+        recv_overhead_cycles: r.varint("recv overhead")?,
+    })
+}
+
+fn get_faults(r: &mut WireReader<'_>) -> Result<FaultPlan, WireError> {
+    let enabled = get_flag(r, "faults enabled")?;
+    let mut f = FaultPlan::seeded(r.varint("fault seed")?);
+    f.enabled = enabled;
+    f.drop_ppm = get_u32(r, "drop ppm")?;
+    f.dup_ppm = get_u32(r, "dup ppm")?;
+    f.reorder_ppm = get_u32(r, "reorder ppm")?;
+    f.delay_ppm = get_u32(r, "delay ppm")?;
+    f.max_delay_cycles = r.varint("max delay")?;
+    f.reorder_window_cycles = r.varint("reorder window")?;
+    Ok(f)
+}
+
+fn get_reliable(r: &mut WireReader<'_>) -> Result<ReliableParams, WireError> {
+    Ok(ReliableParams {
+        rto_cycles: r.varint("rto")?,
+        backoff_cap: get_u32(r, "backoff cap")?,
+        timer_cost_cycles: r.varint("timer cost")?,
+    })
+}
+
+fn get_home_map(r: &mut WireReader<'_>) -> Result<HomeMap, WireError> {
+    match r.u8("home map")? {
+        0 => Ok(HomeMap::Modulo),
+        1 => Ok(HomeMap::Sharded {
+            seed: r.varint("home seed")?,
+        }),
+        _ => Err(WireError::new("unknown home-map tag")),
     }
+}
 
-    fn home_map(&mut self) -> Result<HomeMap, TraceError> {
-        match self.byte()? {
-            0 => Ok(HomeMap::Modulo),
-            1 => Ok(HomeMap::Sharded {
-                seed: self.varint()?,
-            }),
-            _ => Err(TraceError::Malformed("unknown home-map tag")),
-        }
-    }
-
-    fn barrier_shape(&mut self) -> Result<BarrierShape, TraceError> {
-        match self.byte()? {
-            0 => Ok(BarrierShape::Flat),
-            1 => {
-                let arity = self.u32field()?;
-                if arity < 2 {
-                    return Err(TraceError::Malformed("tree barrier arity below 2"));
-                }
-                Ok(BarrierShape::Tree { arity })
+fn get_barrier_shape(r: &mut WireReader<'_>) -> Result<BarrierShape, WireError> {
+    match r.u8("barrier shape")? {
+        0 => Ok(BarrierShape::Flat),
+        1 => {
+            let arity = get_u32(r, "tree arity")?;
+            if arity < 2 {
+                return Err(WireError::new("tree barrier arity below 2"));
             }
-            _ => Err(TraceError::Malformed("unknown barrier-shape tag")),
+            Ok(BarrierShape::Tree { arity })
         }
+        _ => Err(WireError::new("unknown barrier-shape tag")),
     }
+}
 
-    fn crash_plan(&mut self, f: &mut FaultPlan) -> Result<(), TraceError> {
-        let n = self.len(3)?;
-        if n > MAX_CRASHES {
-            return Err(TraceError::Malformed("crash plan exceeds MAX_CRASHES"));
-        }
-        for i in 0..n {
-            f.crashes[i] = CrashEvent {
-                proc: self.u32field()?,
-                at: self.varint()?,
-                down: self.varint()?,
-            };
-        }
-        f.crash_len = n as u8;
-        Ok(())
+fn get_crash_plan(r: &mut WireReader<'_>, f: &mut FaultPlan) -> Result<(), WireError> {
+    let n = r.varint_len(3, "crash count")?;
+    if n > MAX_CRASHES {
+        return Err(WireError::new("crash plan exceeds MAX_CRASHES"));
     }
+    for i in 0..n {
+        f.crashes[i] = CrashEvent {
+            proc: get_u32(r, "crash proc")?,
+            at: r.varint("crash at")?,
+            down: r.varint("crash down")?,
+        };
+    }
+    f.crash_len = n as u8;
+    Ok(())
+}
 
-    fn counters(&mut self, version: u64) -> Result<Counters, TraceError> {
-        let mut c = Counters::default();
-        for f in [
-            &mut c.dirtybits_set,
-            &mut c.dirtybits_misclassified,
-            &mut c.clean_dirtybits_read,
-            &mut c.dirty_dirtybits_read,
-            &mut c.dirtybits_updated,
-            &mut c.write_faults,
-            &mut c.pages_diffed,
-            &mut c.pages_write_protected,
-            &mut c.twin_bytes_updated,
-            &mut c.data_bytes_sent,
-            &mut c.data_bytes_received,
-            &mut c.redundant_bytes_received,
-            &mut c.lock_acquires,
-            &mut c.lock_transfers_served,
-            &mut c.full_data_sends,
-            &mut c.barrier_waits,
-        ] {
-            *f = self.varint()?;
-        }
-        if version >= 5 {
-            for f in [
-                &mut c.crashes,
-                &mut c.downtime_cycles,
-                &mut c.fenced_messages,
-                &mut c.checkpoints_written,
-                &mut c.checkpoint_bytes,
-                &mut c.wal_bytes_logged,
-                &mut c.recovery_replay_bytes,
-                &mut c.recovery_cycles,
-            ] {
-                *f = self.varint()?;
+fn get_counters(r: &mut WireReader<'_>) -> Result<Counters, WireError> {
+    let mut c = Counters::default();
+    for f in counter_fields(&mut c) {
+        *f = r.varint("counter")?;
+    }
+    Ok(c)
+}
+
+fn get_op(r: &mut WireReader<'_>) -> Result<TraceOp, WireError> {
+    Ok(match r.u8("op tag")? {
+        0 => TraceOp::Work {
+            cycles: r.varint("work cycles")?,
+        },
+        1 => TraceOp::Idle {
+            cycles: r.varint("idle cycles")?,
+        },
+        2 => {
+            let addr = r.varint("write addr")?;
+            let n = r.varint_len(1, "write length")?;
+            TraceOp::Write {
+                addr,
+                data: r.raw(n, "write bytes")?.to_vec(),
             }
         }
-        Ok(c)
-    }
-
-    fn op(&mut self) -> Result<TraceOp, TraceError> {
-        Ok(match self.byte()? {
-            0 => TraceOp::Work {
-                cycles: self.varint()?,
-            },
-            1 => TraceOp::Idle {
-                cycles: self.varint()?,
-            },
-            2 => {
-                let addr = self.varint()?;
-                let n = self.len(1)?;
-                TraceOp::Write {
-                    addr,
-                    data: self.raw(n)?.to_vec(),
-                }
-            }
-            3 => TraceOp::Acquire {
-                lock: self.varint()? as u32,
-                exclusive: self.byte()? != 0,
-            },
-            4 => TraceOp::Release {
-                lock: self.varint()? as u32,
-                exclusive: self.byte()? != 0,
-            },
-            5 => TraceOp::Rebind {
-                lock: self.varint()? as u32,
-                ranges: self.ranges()?,
-            },
-            6 => TraceOp::Barrier {
-                barrier: self.varint()? as u32,
-            },
-            _ => return Err(TraceError::Malformed("unknown op tag")),
-        })
-    }
+        3 => TraceOp::Acquire {
+            lock: r.varint("lock")? as u32,
+            exclusive: get_flag(r, "exclusive")?,
+        },
+        4 => TraceOp::Release {
+            lock: r.varint("lock")? as u32,
+            exclusive: get_flag(r, "exclusive")?,
+        },
+        5 => TraceOp::Rebind {
+            lock: r.varint("lock")? as u32,
+            ranges: get_ranges(r)?,
+        },
+        6 => TraceOp::Barrier {
+            barrier: r.varint("barrier")? as u32,
+        },
+        _ => return Err(WireError::new("unknown op tag")),
+    })
 }
 
 /// Decodes an `MWTR` byte buffer back into a trace.
@@ -677,52 +527,38 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
     if fnv1a64(payload) != sum {
         return Err(TraceError::BadChecksum);
     }
-
-    let mut r = Reader {
-        buf: payload,
-        pos: MAGIC.len(),
-    };
-    let version = r.varint()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    let mut r = WireReader::new(&payload[MAGIC.len()..]);
+    let version = r.varint("version")?;
+    if version != VERSION {
         return Err(TraceError::BadVersion(version));
     }
+    Ok(decode_body(&mut r)?)
+}
 
-    let app = r.string()?;
-    let scale = r.string()?;
-    let verified = r.byte()? != 0;
-    let backend = BackendKind::from_wire_tag(r.byte()?)
-        .ok_or(TraceError::Malformed("unknown backend tag"))?;
-    let procs = r.len(1)?;
+/// Decodes everything between the version and the checksum footer.
+fn decode_body(r: &mut WireReader<'_>) -> Result<Trace, WireError> {
+    let app = get_string(r, "app")?;
+    let scale = get_string(r, "scale")?;
+    let verified = get_flag(r, "verified")?;
+    let backend = BackendKind::from_wire_tag(r.u8("backend")?)
+        .ok_or_else(|| WireError::new("unknown backend tag"))?;
+    let procs = r.varint_len(1, "procs")?;
     if procs == 0 {
-        return Err(TraceError::Malformed("zero processors"));
+        return Err(WireError::new("zero processors"));
     }
-    let history_cap = r.varint()? as usize;
-    let cost = r.cost()?;
-    let net = r.net()?;
-    let (mut faults, reliable) = if version >= 3 {
-        (r.faults()?, r.reliable()?)
-    } else {
-        // v1/v2 traces predate fault injection: perfect network.
-        (FaultPlan::none(), ReliableParams::atm_cluster())
-    };
-    let (home_map, barrier) = if version >= 4 {
-        (r.home_map()?, r.barrier_shape()?)
-    } else {
-        // Pre-v4 traces ran with the only placement that existed.
-        (HomeMap::Modulo, BarrierShape::Flat)
-    };
-    let checkpoint_every = if version >= 5 {
-        r.crash_plan(&mut faults)?;
-        r.u32field()?
-    } else {
-        // Pre-v5 traces predate crash fault tolerance: no crashes and no
-        // checkpointing, which is exactly what those runs did.
-        0
-    };
-    let finish_cycles = r.varint()?;
-    let messages = r.varint()?;
+    let history_cap = r.varint("history cap")? as usize;
+    let cost = get_cost(r)?;
+    let net = get_net(r)?;
+    let mut faults = get_faults(r)?;
+    let reliable = get_reliable(r)?;
+    let home_map = get_home_map(r)?;
+    let barrier = get_barrier_shape(r)?;
+    get_crash_plan(r, &mut faults)?;
+    let checkpoint_every = get_u32(r, "checkpoint interval")?;
+    let finish_cycles = r.varint("finish cycles")?;
+    let messages = r.varint("messages")?;
     let counters = (0..procs)
-        .map(|_| r.counters(version))
+        .map(|_| get_counters(r))
         .collect::<Result<Vec<_>, _>>()?;
     let cfg = MidwayConfig {
         procs,
@@ -740,46 +576,45 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         check: false,
     };
 
-    let nallocs = r.len(4)?;
-    let allocs = (0..nallocs)
+    let allocs = (0..r.varint_len(4, "alloc count")?)
         .map(|_| {
             Ok(AllocSpec {
-                name: r.string()?,
-                addr: r.varint()?,
-                len: r.varint()? as usize,
-                private: r.byte()? != 0,
-                line_shift: r.varint()? as u32,
+                name: get_string(r, "alloc name")?,
+                addr: r.varint("alloc addr")?,
+                len: r.varint("alloc len")? as usize,
+                private: get_flag(r, "alloc private")?,
+                line_shift: r.varint("alloc line shift")? as u32,
             })
         })
-        .collect::<Result<Vec<_>, TraceError>>()?;
-    let nlocks = r.len(1)?;
-    let locks = (0..nlocks)
-        .map(|_| r.ranges())
+        .collect::<Result<Vec<_>, WireError>>()?;
+    let locks = (0..r.varint_len(1, "lock count")?)
+        .map(|_| get_ranges(r))
         .collect::<Result<Vec<_>, _>>()?;
-    let nbarriers = r.len(1)?;
-    let barriers = (0..nbarriers)
+    let barriers = (0..r.varint_len(1, "barrier count")?)
         .map(|_| {
-            let ranges = r.ranges()?;
-            let partitions = match r.byte()? {
+            let ranges = get_ranges(r)?;
+            let partitions = match r.u8("has partitions")? {
                 0 => None,
-                _ => {
-                    let n = r.len(1)?;
-                    Some((0..n).map(|_| r.ranges()).collect::<Result<Vec<_>, _>>()?)
-                }
+                _ => Some(
+                    (0..r.varint_len(1, "partition count")?)
+                        .map(|_| get_ranges(r))
+                        .collect::<Result<Vec<_>, _>>()?,
+                ),
             };
             Ok(BarrierSpec { ranges, partitions })
         })
-        .collect::<Result<Vec<_>, TraceError>>()?;
+        .collect::<Result<Vec<_>, WireError>>()?;
 
     let ops = (0..procs)
         .map(|_| {
-            let n = r.len(1)?;
-            (0..n).map(|_| r.op()).collect::<Result<Vec<_>, _>>()
+            (0..r.varint_len(1, "op count")?)
+                .map(|_| get_op(r))
+                .collect::<Result<Vec<_>, _>>()
         })
         .collect::<Result<Vec<_>, _>>()?;
 
-    if r.pos != payload.len() {
-        return Err(TraceError::Malformed("trailing bytes after op streams"));
+    if !r.is_empty() {
+        return Err(WireError::new("trailing bytes after op streams"));
     }
 
     Ok(Trace {

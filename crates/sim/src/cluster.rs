@@ -561,6 +561,19 @@ mod tests {
     }
 
     #[test]
+    fn message_to_finished_proc_is_reported() {
+        let err = Cluster::run(ClusterConfig::new(2), |p: &mut ProcHandle<Msg>| {
+            // Proc 1 returns without receiving; proc 0's message can only
+            // be dispatched after both have finished.
+            if p.id() == 0 {
+                p.send(1, 7, 8);
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, SimError::MessageToFinished { src: 0, dst: 1 });
+    }
+
+    #[test]
     fn drain_recv_quiesces_when_everyone_drains() {
         let out = Cluster::run(ClusterConfig::new(3), |p: &mut ProcHandle<Msg>| {
             if p.id() == 0 {

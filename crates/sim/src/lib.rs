@@ -44,7 +44,6 @@ mod cluster;
 mod event;
 mod fault;
 mod net;
-mod queue;
 mod rng;
 mod sched;
 mod time;
