@@ -129,6 +129,21 @@ if compgen -G "results/traces/*.mwt" >/dev/null; then
     done
 fi
 
+echo "==> fresh-checkout record/replay gate (lock-order-dependent apps)"
+# The loop above reads the gitignored cache and checks nothing on a fresh
+# clone. This one records each lock-arbitrated app under RT and VM from
+# scratch and demands a bit-for-bit replay: the determinism oracle for
+# the apps whose results depend on delivery order.
+for app in water quicksort cholesky kvstore; do
+    for backend in rt vm; do
+        cargo run --release -q -p midway-replay --bin trace -- \
+            record --app "$app" --scale small --procs 8 --backend "$backend" \
+            --out "$smoke/$app-8p-$backend.mwt"
+        cargo run --release -q -p midway-replay --bin trace -- \
+            replay "$smoke/$app-8p-$backend.mwt" --check >/dev/null
+    done
+done
+
 echo "==> service workload smoke (sweep + record/replay)"
 # The three service apps (kvstore, socialgraph, taskqueue) at small
 # scale under RT, swept across two client counts, plus the saturation

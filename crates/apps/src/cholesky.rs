@@ -180,7 +180,7 @@ fn build(sym: &Symbolic, _procs: usize) -> (Arc<SystemSpec>, Handles) {
 pub fn run(cfg: MidwayConfig, p: Params) -> MidwayRun<Outcome> {
     let sym = Arc::new(symbolic(p));
     let (spec, h) = build(&sym, cfg.procs);
-    Midway::run(cfg, &spec, |proc: &mut Proc| worker(proc, &sym, &h))
+    Midway::run(cfg, &spec, async |proc| worker(proc, &sym, &h).await)
         .expect("cholesky simulation failed")
 }
 
@@ -192,10 +192,10 @@ pub fn run_real(
 ) -> Result<MidwayRun<Outcome>, RealError> {
     let sym = Arc::new(symbolic(p));
     let (spec, h) = build(&sym, cfg.procs);
-    Midway::run_real(cfg, real, &spec, |proc| worker(proc, &sym, &h))
+    Midway::run_real(cfg, real, &spec, async |proc| worker(proc, &sym, &h).await)
 }
 
-fn worker<T: Transport<Msg = NetMsg>>(
+async fn worker<T: Transport<Msg = NetMsg>>(
     proc: &mut Proc<'_, T>,
     sym: &Symbolic,
     h: &Handles,
@@ -209,7 +209,7 @@ fn worker<T: Transport<Msg = NetMsg>>(
         if owner_of(n, procs, j) != me {
             continue;
         }
-        proc.acquire(h.col_locks[j]);
+        proc.acquire(h.col_locks[j]).await;
         for (r, c, v) in sym.a_entries.iter().filter(|(_, c, _)| *c == j) {
             let slot = nz_index(sym, *c, *r);
             proc.write(&h.val, slot, *v);
@@ -218,7 +218,7 @@ fn worker<T: Transport<Msg = NetMsg>>(
         proc.release(h.col_locks[j]);
     }
     // No cmod may race ahead of another owner's initialization.
-    proc.barrier(h.init_done);
+    proc.barrier(h.init_done).await;
 
     let mut columns_factored = 0u64;
     for j in 0..n {
@@ -227,13 +227,13 @@ fn worker<T: Transport<Msg = NetMsg>>(
         }
         // Wait until every earlier column's update has been applied.
         loop {
-            proc.acquire(h.col_locks[j]);
+            proc.acquire(h.col_locks[j]).await;
             let done = proc.read(&h.ndone, j);
             if done as u32 == sym.deps[j] {
                 break; // keep holding the lock for cdiv
             }
             proc.release(h.col_locks[j]);
-            proc.idle(5_000);
+            proc.idle(5_000).await;
         }
         if columns_factored.is_multiple_of(4) {
             // Misclassified private progress write (6-cycle penalty).
@@ -261,7 +261,7 @@ fn worker<T: Transport<Msg = NetMsg>>(
         // scattered updates under other columns' locks.
         for (off_k, &k) in sym.rows[lo..hi].iter().enumerate().skip(1) {
             let ljk = col[off_k];
-            proc.acquire(h.col_locks[k]);
+            proc.acquire(h.col_locks[k]).await;
             let mut updates = 0u64;
             for (off_i, &i) in sym.rows[lo..hi].iter().enumerate().skip(off_k) {
                 let slot = nz_index(sym, k, i);
@@ -277,7 +277,11 @@ fn worker<T: Transport<Msg = NetMsg>>(
     }
 
     // Processor 0 verifies L·Lᵀ ≈ A on sampled entries after quiescence.
-    let max_residual = (me == 0).then(|| verify(proc, sym, h));
+    let max_residual = if me == 0 {
+        Some(verify(proc, sym, h).await)
+    } else {
+        None
+    };
     Outcome {
         columns_factored,
         max_residual,
@@ -293,20 +297,24 @@ fn nz_index(sym: &Symbolic, col: usize, row: usize) -> usize {
             .unwrap_or_else(|_| panic!("({row},{col}) not in fill pattern"))
 }
 
-fn verify<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, sym: &Symbolic, h: &Handles) -> f64 {
+async fn verify<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    sym: &Symbolic,
+    h: &Handles,
+) -> f64 {
     let n = sym.n;
     // Gather all columns (waiting until each is fully updated).
     let mut l: Vec<Vec<f64>> = Vec::with_capacity(n);
     for j in 0..n {
         loop {
-            proc.acquire(h.col_locks[j]);
+            proc.acquire(h.col_locks[j]).await;
             let done = proc.read(&h.ndone, j);
             // deps + 1 marks a fully factored (cdiv'd) column.
             if done as u32 == sym.deps[j] + 1 {
                 break;
             }
             proc.release(h.col_locks[j]);
-            proc.idle(5_000);
+            proc.idle(5_000).await;
         }
         l.push(proc.read_vec(&h.val, sym.colptr[j]..sym.colptr[j + 1]));
         proc.release(h.col_locks[j]);

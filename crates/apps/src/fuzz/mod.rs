@@ -230,7 +230,7 @@ fn build(p: &FuzzParams) -> (Arc<SystemSpec>, Handles) {
     )
 }
 
-fn session<T: Transport<Msg = NetMsg>>(
+async fn session<T: Transport<Msg = NetMsg>>(
     proc: &mut Proc<'_, T>,
     s: &Schedule,
     h: &Handles,
@@ -243,8 +243,8 @@ fn session<T: Transport<Msg = NetMsg>>(
                 FuzzOp::Acquire {
                     lock,
                     shared: false,
-                } => proc.acquire(h.locks[lock]),
-                FuzzOp::Acquire { lock, shared: true } => proc.acquire_shared(h.locks[lock]),
+                } => proc.acquire(h.locks[lock]).await,
+                FuzzOp::Acquire { lock, shared: true } => proc.acquire_shared(h.locks[lock]).await,
                 FuzzOp::Release {
                     lock,
                     shared: false,
@@ -260,7 +260,7 @@ fn session<T: Transport<Msg = NetMsg>>(
                 FuzzOp::Work { cycles } => proc.work(cycles),
             }
         }
-        proc.barrier(h.flush);
+        proc.barrier(h.flush).await;
     }
     // Read-back: the logically visible final state. Each lock's reliable
     // final-binding words are read under a shared hold (the ownership
@@ -269,7 +269,7 @@ fn session<T: Transport<Msg = NetMsg>>(
     // traversal order matches Schedule::expected_readback exactly.
     let mut readback = 0u64;
     for (l, words) in s.reliable_words().into_iter().enumerate() {
-        proc.acquire_shared(h.locks[l]);
+        proc.acquire_shared(h.locks[l]).await;
         for w in words {
             readback = readback.rotate_left(1) ^ proc.read(&h.cells, w);
         }
@@ -297,7 +297,7 @@ pub fn execute(s: &Schedule, backend: BackendKind) -> FuzzRun {
     }
     .check(true);
     let (spec, h) = build(&s.params);
-    let run = Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, s, &h))
+    let run = Midway::run(cfg, &spec, async |proc| session(proc, s, &h).await)
         .expect("fuzz schedule deadlocked or panicked");
     FuzzRun {
         digests: run.store_digests.clone(),

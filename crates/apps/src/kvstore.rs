@@ -125,7 +125,7 @@ fn build(p: Params, procs: usize) -> (Arc<SystemSpec>, Handles) {
 /// Panics if the simulation fails (deadlock or processor panic).
 pub fn run(cfg: MidwayConfig, p: Params) -> MidwayRun<Outcome> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, p, &h))
+    Midway::run(cfg, &spec, async |proc| session(proc, p, &h).await)
         .expect("kvstore simulation failed")
 }
 
@@ -136,10 +136,14 @@ pub fn run_real(
     p: Params,
 ) -> Result<MidwayRun<Outcome>, RealError> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
+    Midway::run_real(cfg, real, &spec, async |proc| session(proc, p, &h).await)
 }
 
-fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> Outcome {
+async fn session<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> Outcome {
     let me = proc.id();
     let mut rng = p.svc.proc_rng(me);
     let zipf = Zipf::new(p.keys, p.svc.skew);
@@ -156,7 +160,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
             let key = zipf.sample(&mut rng);
             let shard = shard_of(key, p.keys, p.shards);
             if rng.next_below(100) < u64::from(p.svc.write_pct) {
-                proc.acquire(h.shard_locks[shard]);
+                proc.acquire(h.shard_locks[shard]).await;
                 let v = proc.read(&h.vers, key) + 1;
                 proc.write(&h.vers, key, v);
                 for w in 0..p.vwords {
@@ -166,7 +170,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 proc.work(CYCLES_PER_PUT);
                 puts += 1;
             } else {
-                proc.acquire_shared(h.shard_locks[shard]);
+                proc.acquire_shared(h.shard_locks[shard]).await;
                 let v = proc.read(&h.vers, key);
                 for w in 0..p.vwords {
                     let got = proc.read(&h.vals, key * p.vwords + w);
@@ -181,16 +185,20 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 proc.work(CYCLES_PER_GET);
                 gets += 1;
             }
-            proc.idle(think);
+            proc.idle(think).await;
         }
     }
 
     proc.write(&h.stats, me * 2, puts);
     proc.write(&h.stats, me * 2 + 1, gets);
-    proc.barrier(h.done);
+    proc.barrier(h.done).await;
 
     // Processor 0 audits the whole store against the published tallies.
-    let store_ok = (me == 0).then(|| verify(proc, p, h));
+    let store_ok = if me == 0 {
+        Some(verify(proc, p, h).await)
+    } else {
+        None
+    };
     Outcome {
         puts,
         gets,
@@ -201,7 +209,11 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
 
 /// Processor 0's global audit: the sum of per-key versions must equal the
 /// cluster-wide put count, and every value must match its version.
-fn verify<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> bool {
+async fn verify<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> bool {
     let mut total_puts = 0u64;
     for q in 0..proc.procs() {
         total_puts += proc.read(&h.stats, q * 2);
@@ -209,7 +221,7 @@ fn verify<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
     let mut vsum = 0u64;
     let mut values_ok = true;
     for s in 0..p.shards {
-        proc.acquire_shared(h.shard_locks[s]);
+        proc.acquire_shared(h.shard_locks[s]).await;
         for key in shard_range(s, p.keys, p.shards) {
             let v = proc.read(&h.vers, key);
             vsum += v;

@@ -120,7 +120,7 @@ fn elem(seed: u64, which: u64, i: usize, j: usize, n: usize) -> f64 {
 /// Panics if the simulation fails (deadlock or processor panic).
 pub fn run(cfg: MidwayConfig, p: Params) -> MidwayRun<Outcome> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, p, &h))
+    Midway::run(cfg, &spec, async |proc| session(proc, p, &h).await)
         .expect("matmul simulation failed")
 }
 
@@ -131,10 +131,14 @@ pub fn run_real(
     p: Params,
 ) -> Result<MidwayRun<Outcome>, RealError> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
+    Midway::run_real(cfg, real, &spec, async |proc| session(proc, p, &h).await)
 }
 
-fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> Outcome {
+async fn session<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> Outcome {
     let n = h.n;
     {
         let me = proc.id();
@@ -147,7 +151,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 proc.write(&h.b, i * n + j, elem(p.seed, 2, i, j, n));
             }
         }
-        proc.barrier(h.init_done);
+        proc.barrier(h.init_done).await;
 
         // Copy B into private memory (transposed for locality); reads are
         // local under the update protocol.
@@ -175,7 +179,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
             }
             proc.work((n * n) as u64 * CYCLES_PER_MAC);
         }
-        proc.barrier(h.all_done);
+        proc.barrier(h.all_done).await;
 
         // Verification: checksum the full matrix (identical everywhere)
         // and check sampled entries against a direct computation.

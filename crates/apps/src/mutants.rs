@@ -91,18 +91,18 @@ fn drop_acquire(cfg: MidwayConfig) -> (Result<MidwayRun<()>, SimError>, MutantEx
     let done = b.barrier(vec![]);
     let spec: Arc<SystemSpec> = b.build();
 
-    let run = Midway::run(cfg, &spec, move |p| {
+    let run = Midway::run(cfg, &spec, async move |p| {
         let me = p.id();
         let vals: Vec<f64> = (0..SLICE).map(|k| (me * SLICE + k) as f64).collect();
         if me == 0 {
             // The bug: the slice store lands outside any held lock.
             p.write_slice(&matrix, me * SLICE, &vals);
         } else {
-            p.acquire(lock);
+            p.acquire(lock).await;
             p.write_slice(&matrix, me * SLICE, &vals);
             p.release(lock);
         }
-        p.barrier(done);
+        p.barrier(done).await;
     });
     (
         run,
@@ -124,19 +124,19 @@ fn rogue_rebind(cfg: MidwayConfig) -> (Result<MidwayRun<()>, SimError>, MutantEx
     let done = b.barrier(vec![]);
     let spec: Arc<SystemSpec> = b.build();
 
-    let run = Midway::run(cfg, &spec, move |p| {
+    let run = Midway::run(cfg, &spec, async move |p| {
         if p.id() == 0 {
-            p.acquire(lock);
+            p.acquire(lock).await;
             p.rebind(lock, vec![data.range(0..N / 2)]);
             p.write(&data, 0, 1.0); // inside the narrowed binding: fine
             p.write(&data, N - 1, 2.0); // the bug: the retired half
             p.release(lock);
         } else {
-            p.acquire(lock);
+            p.acquire(lock).await;
             p.write(&data, 1, 3.0);
             p.release(lock);
         }
-        p.barrier(done);
+        p.barrier(done).await;
     });
     (
         run,
@@ -161,7 +161,7 @@ fn read_ahead(cfg: MidwayConfig) -> (Result<MidwayRun<()>, SimError>, MutantExpe
     let phase = b.barrier_partitioned(vec![edges.full_range()], partitions);
     let spec: Arc<SystemSpec> = b.build();
 
-    let run = Midway::run(cfg, &spec, move |p| {
+    let run = Midway::run(cfg, &spec, async move |p| {
         let me = p.id();
         p.write(&edges, me, me as f64 + 0.5);
         if me == 1 {
@@ -169,7 +169,7 @@ fn read_ahead(cfg: MidwayConfig) -> (Result<MidwayRun<()>, SimError>, MutantExpe
             // The bug: the neighbour's slot is not published yet.
             let _ = p.read(&edges, 0);
         }
-        p.barrier(phase);
+        p.barrier(phase).await;
         let left = me.checked_sub(1).unwrap_or(procs - 1);
         let _ = p.read(&edges, left);
     });

@@ -143,7 +143,7 @@ fn build(p: Params, _procs: usize) -> (Arc<SystemSpec>, Handles) {
 /// Panics if the simulation fails.
 pub fn run(cfg: MidwayConfig, p: Params) -> MidwayRun<Outcome> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run(cfg, &spec, |proc: &mut Proc| worker(proc, p, &h)).expect("quicksort failed")
+    Midway::run(cfg, &spec, async |proc| worker(proc, p, &h).await).expect("quicksort failed")
 }
 
 /// Runs parallel quicksort over real sockets (`Midway::run_real`).
@@ -153,10 +153,14 @@ pub fn run_real(
     p: Params,
 ) -> Result<MidwayRun<Outcome>, RealError> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run_real(cfg, real, &spec, |proc| worker(proc, p, &h))
+    Midway::run_real(cfg, real, &spec, async |proc| worker(proc, p, &h).await)
 }
 
-fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> Outcome {
+async fn worker<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> Outcome {
     let me = proc.id();
     let n = p.n as i32;
 
@@ -164,14 +168,14 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
     // publishes the root task.
     if me == 0 {
         let root = 0usize;
-        proc.acquire(h.slot_locks[root]);
+        proc.acquire(h.slot_locks[root]).await;
         proc.rebind(h.slot_locks[root], vec![h.data.range(0..p.n)]);
         let mut rng = SplitMix64::new(p.seed);
         for i in 0..p.n {
             proc.write(&h.data, i, (rng.next_below(1 << 30)) as i32 - (1 << 29));
         }
         proc.release(h.slot_locks[root]);
-        proc.acquire(h.qlock);
+        proc.acquire(h.qlock).await;
         proc.write(&h.qmeta, 0, 0);
         proc.write(&h.qmeta, 1, n);
         proc.write(&h.qstack, 0, 0);
@@ -191,7 +195,7 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
         polls += 1;
         proc.write(&h.scratch, (me * 8) % 64, polls);
         // Pop the newest task (or observe completion).
-        proc.acquire(h.qlock);
+        proc.acquire(h.qlock).await;
         let size = proc.read(&h.qctl, 0);
         let done = proc.read(&h.qctl, 2);
         let task = if size > 0 {
@@ -209,28 +213,32 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
             if done == n {
                 break;
             }
-            proc.idle(20_000); // backoff before re-polling
+            proc.idle(20_000).await; // backoff before re-polling
             continue;
         };
 
         // Acquire the task's data.
-        proc.acquire(h.slot_locks[slot]);
+        proc.acquire(h.slot_locks[slot]).await;
         if hi - lo <= p.threshold {
             leaves_sorted += 1;
-            local_sort_leaf(proc, p, h, slot, lo, hi);
+            local_sort_leaf(proc, p, h, slot, lo, hi).await;
         } else {
             tasks_split += 1;
             let mid = partition(proc, h, lo, hi);
             // Guard against degenerate pivots: keep both sides non-empty.
             let mid = mid.clamp(lo + 1, hi - 1);
-            push_task(proc, h, slot, lo, mid);
-            push_task(proc, h, slot, mid, hi);
+            push_task(proc, h, slot, lo, mid).await;
+            push_task(proc, h, slot, mid, hi).await;
         }
         proc.release(h.slot_locks[slot]);
     }
 
     // Verification by processor 0 once everything is done.
-    let sorted_ok = (me == 0).then(|| verify(proc, p, h));
+    let sorted_ok = if me == 0 {
+        Some(verify(proc, p, h).await)
+    } else {
+        None
+    };
     Outcome {
         leaves_sorted,
         tasks_split,
@@ -283,7 +291,7 @@ fn partition<T: Transport<Msg = NetMsg>>(
 
 /// Copies the leaf out, bubble-sorts it locally (charging the compare
 /// cost), writes it back, and records it for verification.
-fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
+async fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
     proc: &mut Proc<'_, T>,
     _p: Params,
     h: &Handles,
@@ -311,7 +319,7 @@ fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
 
     let min = *buf.first().expect("leaf is non-empty");
     let max = *buf.last().expect("leaf is non-empty");
-    proc.acquire(h.reclock);
+    proc.acquire(h.reclock).await;
     let rec = proc.read(&h.qrec_count, 0) as usize;
     proc.write(&h.qrec, rec * 4, lo as i32);
     proc.write(&h.qrec, rec * 4 + 1, hi as i32);
@@ -319,7 +327,7 @@ fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
     proc.write(&h.qrec, rec * 4 + 3, max);
     proc.write(&h.qrec_count, 0, rec as i32 + 1);
     proc.release(h.reclock);
-    proc.acquire(h.qlock);
+    proc.acquire(h.qlock).await;
     let done = proc.read(&h.qctl, 2);
     proc.write(&h.qctl, 2, done + (hi - lo) as i32);
     proc.release(h.qlock);
@@ -327,7 +335,7 @@ fn local_sort_leaf<T: Transport<Msg = NetMsg>>(
 
 /// Publishes a child task: rebind its slot lock to the range, then make
 /// the descriptor visible under the queue lock.
-fn push_task<T: Transport<Msg = NetMsg>>(
+async fn push_task<T: Transport<Msg = NetMsg>>(
     proc: &mut Proc<'_, T>,
     h: &Handles,
     _parent: usize,
@@ -336,7 +344,7 @@ fn push_task<T: Transport<Msg = NetMsg>>(
 ) {
     // Atomically reserve a slot id (slots are never recycled, so every
     // task has its own lock, rebound exactly once).
-    proc.acquire(h.qlock);
+    proc.acquire(h.qlock).await;
     let slot = proc.read(&h.qctl, 1) as usize;
     assert!(slot < h.slot_locks.len(), "task queue overflow");
     proc.write(&h.qctl, 1, slot as i32 + 1);
@@ -346,11 +354,11 @@ fn push_task<T: Transport<Msg = NetMsg>>(
     // cannot deadlock against the held parent lock. The pusher's cache
     // holds the partitioned data, so it becomes the owner of record the
     // popper will fetch from.
-    proc.acquire(h.slot_locks[slot]);
+    proc.acquire(h.slot_locks[slot]).await;
     proc.rebind(h.slot_locks[slot], vec![h.data.range(lo..hi)]);
     proc.release(h.slot_locks[slot]);
     // Publish: descriptor first, then the stack entry.
-    proc.acquire(h.qlock);
+    proc.acquire(h.qlock).await;
     proc.write(&h.qmeta, slot * 2, lo as i32);
     proc.write(&h.qmeta, slot * 2 + 1, hi as i32);
     let size = proc.read(&h.qctl, 0);
@@ -361,8 +369,12 @@ fn push_task<T: Transport<Msg = NetMsg>>(
 
 /// Processor 0's global check: leaf records must tile `0..n`, with
 /// leaf-local sortedness already guaranteed and boundaries monotone.
-fn verify<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> bool {
-    proc.acquire(h.reclock);
+async fn verify<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> bool {
+    proc.acquire(h.reclock).await;
     let count = proc.read(&h.qrec_count, 0) as usize;
     let mut recs: Vec<(i32, i32, i32, i32)> = (0..count)
         .map(|r| {

@@ -153,7 +153,7 @@ fn build(p: Params, procs: usize) -> (Arc<SystemSpec>, Handles) {
 /// Panics if the simulation fails (deadlock or processor panic).
 pub fn run(cfg: MidwayConfig, p: Params) -> MidwayRun<Outcome> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, p, &h))
+    Midway::run(cfg, &spec, async |proc| session(proc, p, &h).await)
         .expect("socialgraph simulation failed")
 }
 
@@ -164,10 +164,14 @@ pub fn run_real(
     p: Params,
 ) -> Result<MidwayRun<Outcome>, RealError> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
+    Midway::run_real(cfg, real, &spec, async |proc| session(proc, p, &h).await)
 }
 
-fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> Outcome {
+async fn session<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> Outcome {
     let me = proc.id();
     let mut rng = p.svc.proc_rng(me);
     let zipf = Zipf::new(p.nodes, p.svc.skew);
@@ -188,7 +192,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
             if rng.next_below(100) < u64::from(p.svc.write_pct) {
                 if rng.next_below(2) == 0 {
                     // Post: new payload under the node's shard lock.
-                    proc.acquire(h.shard_locks[shard]);
+                    proc.acquire(h.shard_locks[shard]).await;
                     let c = proc.read(&h.posts, node) + 1;
                     proc.write(&h.posts, node, c);
                     for w in 0..p.payload_words {
@@ -203,7 +207,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 } else {
                     // Follow: the sampled celebrity gains a follower.
                     let follower = rng.next_below(p.nodes as u64);
-                    proc.acquire(h.shard_locks[shard]);
+                    proc.acquire(h.shard_locks[shard]).await;
                     let d = proc.read(&h.degree, node);
                     if (d as usize) < p.max_degree {
                         proc.write(&h.adj, node * p.max_degree + d as usize, follower);
@@ -217,7 +221,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 proc.work(CYCLES_PER_UPDATE);
             } else {
                 // Timeline: read the node's profile in shared mode.
-                proc.acquire_shared(h.shard_locks[shard]);
+                proc.acquire_shared(h.shard_locks[shard]).await;
                 let c = proc.read(&h.posts, node);
                 for w in 0..p.payload_words {
                     let got = proc.read(&h.payload, node * p.payload_words + w);
@@ -237,7 +241,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 proc.work(CYCLES_PER_TIMELINE);
                 out.timelines += 1;
             }
-            proc.idle(think);
+            proc.idle(think).await;
         }
     }
 
@@ -245,14 +249,22 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
     proc.write(&h.stats, me * 4 + 1, out.follows);
     proc.write(&h.stats, me * 4 + 2, out.skips);
     proc.write(&h.stats, me * 4 + 3, out.timelines);
-    proc.barrier(h.done);
+    proc.barrier(h.done).await;
 
-    out.graph_ok = (me == 0).then(|| verify(proc, p, h));
+    out.graph_ok = if me == 0 {
+        Some(verify(proc, p, h).await)
+    } else {
+        None
+    };
     out
 }
 
 /// Processor 0's global audit of the graph against the published tallies.
-fn verify<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> bool {
+async fn verify<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> bool {
     let mut total_posts = 0u64;
     let mut total_follows = 0u64;
     for q in 0..proc.procs() {
@@ -263,7 +275,7 @@ fn verify<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
     let mut degree_sum = 0u64;
     let mut ok = true;
     for s in 0..p.shards {
-        proc.acquire_shared(h.shard_locks[s]);
+        proc.acquire_shared(h.shard_locks[s]).await;
         for node in shard_range(s, p.nodes, p.shards) {
             let c = proc.read(&h.posts, node);
             post_sum += c;

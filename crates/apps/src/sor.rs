@@ -130,7 +130,7 @@ fn initial(seed: u64, i: usize, j: usize, rows: usize, cols: usize) -> f64 {
 /// processor count (each stripe needs at least two rows).
 pub fn run(cfg: MidwayConfig, p: Params) -> MidwayRun<Outcome> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, p, &h)).expect("sor simulation failed")
+    Midway::run(cfg, &spec, async |proc| session(proc, p, &h).await).expect("sor simulation failed")
 }
 
 /// Runs red-black SOR over real sockets (`Midway::run_real`); same
@@ -141,10 +141,14 @@ pub fn run_real(
     p: Params,
 ) -> Result<MidwayRun<Outcome>, RealError> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
+    Midway::run_real(cfg, real, &spec, async |proc| session(proc, p, &h).await)
 }
 
-fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> Outcome {
+async fn session<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> Outcome {
     let cols = p.cols;
     {
         let me = proc.id();
@@ -174,7 +178,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
         publish(proc, &grid, local_rows - 1, me * 2 + 1);
         // One misclassified private write per run (6-cycle penalty).
         proc.write(&h.scratch, me % 16, 1.0);
-        proc.barrier(h.phase_done);
+        proc.barrier(h.phase_done).await;
 
         let mut initial_residual = 0.0f64;
         let mut final_residual;
@@ -236,7 +240,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                         }
                     }
                 }
-                proc.barrier(h.phase_done);
+                proc.barrier(h.phase_done).await;
             }
             if iter == 0 {
                 initial_residual = residual;

@@ -163,7 +163,7 @@ fn build(p: Params, procs: usize) -> (Arc<SystemSpec>, Handles) {
 /// Panics if the simulation fails (deadlock or processor panic).
 pub fn run(cfg: MidwayConfig, p: Params) -> MidwayRun<Outcome> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run(cfg, &spec, |proc: &mut Proc| worker(proc, p, &h))
+    Midway::run(cfg, &spec, async |proc| worker(proc, p, &h).await)
         .expect("taskqueue simulation failed")
 }
 
@@ -174,18 +174,18 @@ pub fn run_real(
     p: Params,
 ) -> Result<MidwayRun<Outcome>, RealError> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run_real(cfg, real, &spec, |proc| worker(proc, p, &h))
+    Midway::run_real(cfg, real, &spec, async |proc| worker(proc, p, &h).await)
 }
 
 /// Reserves a fresh slot, rebinds its lock to the task's result range,
 /// and publishes the task (budget first, stack entry last).
-fn push_task<T: Transport<Msg = NetMsg>>(
+async fn push_task<T: Transport<Msg = NetMsg>>(
     proc: &mut Proc<'_, T>,
     p: Params,
     h: &Handles,
     budget: u64,
 ) -> u64 {
-    proc.acquire(h.qlock);
+    proc.acquire(h.qlock).await;
     let id = proc.read(&h.qctl, 1);
     assert!((id as usize) < h.slot_locks.len(), "task queue overflow");
     proc.write(&h.qctl, 1, id + 1);
@@ -194,13 +194,13 @@ fn push_task<T: Transport<Msg = NetMsg>>(
     // Rebind before publishing: the slot is invisible, so this acquire is
     // uncontended, and the pusher becomes the owner of record.
     let r = id as usize * p.result_words;
-    proc.acquire(h.slot_locks[id as usize]);
+    proc.acquire(h.slot_locks[id as usize]).await;
     proc.rebind(
         h.slot_locks[id as usize],
         vec![h.results.range(r..r + p.result_words)],
     );
     proc.release(h.slot_locks[id as usize]);
-    proc.acquire(h.qlock);
+    proc.acquire(h.qlock).await;
     let size = proc.read(&h.qctl, 0);
     proc.write(&h.qstack, size as usize, id);
     proc.write(&h.qctl, 0, size + 1);
@@ -208,7 +208,11 @@ fn push_task<T: Transport<Msg = NetMsg>>(
     id
 }
 
-fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> Outcome {
+async fn worker<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> Outcome {
     let me = proc.id();
     let total = p.total_tasks(proc.procs()) as u64;
     let zipf = Zipf::new(WORK_RANKS, p.svc.skew);
@@ -221,13 +225,13 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
 
     // Every processor seeds one root per client session.
     for _ in 0..p.svc.clients {
-        let id = push_task(proc, p, h, p.svc.ops_per_client as u64);
+        let id = push_task(proc, p, h, p.svc.ops_per_client as u64).await;
         out.spawned += 1;
         let _ = id;
     }
 
     loop {
-        proc.acquire(h.qlock);
+        proc.acquire(h.qlock).await;
         let size = proc.read(&h.qctl, 0);
         let done = proc.read(&h.qctl, 2);
         let task = if size > 0 {
@@ -244,12 +248,12 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
             if done == total {
                 break;
             }
-            proc.idle(20_000); // backoff before re-polling
+            proc.idle(20_000).await; // backoff before re-polling
             continue;
         };
 
         // Process: the slot lock ships exactly this task's result range.
-        proc.acquire(h.slot_locks[id as usize]);
+        proc.acquire(h.slot_locks[id as usize]).await;
         let r = id as usize * p.result_words;
         for w in 0..p.result_words {
             proc.write(&h.results, r + w, mix64(id, budget ^ w as u64));
@@ -259,7 +263,7 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
         out.processed += 1;
 
         if p.audited(id) {
-            proc.acquire(h.audit_lock);
+            proc.acquire(h.audit_lock).await;
             let n = proc.read(&h.audit, 0);
             let x = proc.read(&h.audit, 1);
             proc.write(&h.audit, 0, n + 1);
@@ -273,12 +277,12 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
         let mut share = rem.div_ceil(p.branch as u64).max(1);
         while rem > 0 {
             share = share.min(rem);
-            push_task(proc, p, h, share);
+            push_task(proc, p, h, share).await;
             out.spawned += 1;
             rem -= share;
         }
 
-        proc.acquire(h.qlock);
+        proc.acquire(h.qlock).await;
         let d = proc.read(&h.qctl, 2);
         proc.write(&h.qctl, 2, d + 1);
         proc.release(h.qlock);
@@ -286,16 +290,20 @@ fn worker<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Han
 
     proc.write(&h.stats, me * 2, out.processed);
     proc.write(&h.stats, me * 2 + 1, out.spawned);
-    proc.barrier(h.done);
+    proc.barrier(h.done).await;
 
-    out.queue_ok = (me == 0).then(|| verify(proc, p, h, total));
+    out.queue_ok = if me == 0 {
+        Some(verify(proc, p, h, total).await)
+    } else {
+        None
+    };
     out
 }
 
 /// Processor 0's global audit: exactly `total` tasks ran, every result
 /// record matches its task, and the audit log matches the deterministic
 /// audit set.
-fn verify<T: Transport<Msg = NetMsg>>(
+async fn verify<T: Transport<Msg = NetMsg>>(
     proc: &mut Proc<'_, T>,
     p: Params,
     h: &Handles,
@@ -307,7 +315,7 @@ fn verify<T: Transport<Msg = NetMsg>>(
         processed += proc.read(&h.stats, q * 2);
         spawned += proc.read(&h.stats, q * 2 + 1);
     }
-    proc.acquire_shared(h.qlock);
+    proc.acquire_shared(h.qlock).await;
     let next = proc.read(&h.qctl, 1);
     let done = proc.read(&h.qctl, 2);
     let budgets: Vec<u64> = (0..total as usize)
@@ -330,7 +338,7 @@ fn verify<T: Transport<Msg = NetMsg>>(
             want_audits += 1;
             want_xor ^= mix64(id, budget);
         }
-        proc.acquire_shared(h.slot_locks[id as usize]);
+        proc.acquire_shared(h.slot_locks[id as usize]).await;
         for w in 0..p.result_words {
             let got = proc.read(&h.results, id as usize * p.result_words + w);
             results_ok &= got == mix64(id, budget ^ w as u64);
@@ -338,7 +346,7 @@ fn verify<T: Transport<Msg = NetMsg>>(
         proc.release_shared(h.slot_locks[id as usize]);
     }
 
-    proc.acquire_shared(h.audit_lock);
+    proc.acquire_shared(h.audit_lock).await;
     let audits = proc.read(&h.audit, 0);
     let xor = proc.read(&h.audit, 1);
     proc.release_shared(h.audit_lock);

@@ -161,7 +161,7 @@ fn pair_force(ci: [f64; 3], cj: [f64; 3]) -> [f64; 3] {
 /// Panics if the simulation fails.
 pub fn run(cfg: MidwayConfig, p: Params) -> MidwayRun<Outcome> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run(cfg, &spec, |proc: &mut Proc| session(proc, p, &h))
+    Midway::run(cfg, &spec, async |proc| session(proc, p, &h).await)
         .expect("water simulation failed")
 }
 
@@ -172,10 +172,14 @@ pub fn run_real(
     p: Params,
 ) -> Result<MidwayRun<Outcome>, RealError> {
     let (spec, h) = build(p, cfg.procs);
-    Midway::run_real(cfg, real, &spec, |proc| session(proc, p, &h))
+    Midway::run_real(cfg, real, &spec, async |proc| session(proc, p, &h).await)
 }
 
-fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Handles) -> Outcome {
+async fn session<T: Transport<Msg = NetMsg>>(
+    proc: &mut Proc<'_, T>,
+    p: Params,
+    h: &Handles,
+) -> Outcome {
     let n = p.molecules;
     let side = (n as f64).cbrt().round() as usize;
     {
@@ -191,7 +195,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 }
             }
         }
-        proc.barrier(h.step_done);
+        proc.barrier(h.step_done).await;
 
         // Private per-processor force accumulation (the paper's
         // optimization); molecule state itself is shared.
@@ -235,7 +239,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 if !any {
                     continue;
                 }
-                proc.acquire(h.mol_locks[m]);
+                proc.acquire(h.mol_locks[m]).await;
                 for k in 0..DOF {
                     let cur = proc.read(&h.force, m * DOF + k);
                     proc.write(&h.force, m * DOF + k, cur + local_force[m * DOF + k]);
@@ -243,11 +247,11 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 }
                 proc.release(h.mol_locks[m]);
             }
-            proc.barrier(h.flush_done);
+            proc.barrier(h.flush_done).await;
 
             // Phase 3: owners integrate (velocity Verlet) and reset forces.
             for &m in &mine {
-                proc.acquire(h.mol_locks[m]);
+                proc.acquire(h.mol_locks[m]).await;
                 for k in 0..DOF {
                     let i = m * DOF + k;
                     let a_new = proc.read(&h.force, i); // unit mass
@@ -262,7 +266,7 @@ fn session<T: Transport<Msg = NetMsg>>(proc: &mut Proc<'_, T>, p: Params, h: &Ha
                 proc.release(h.mol_locks[m]);
             }
             proc.work(mine.len() as u64 * CYCLES_PER_INTEGRATE);
-            proc.barrier(h.step_done);
+            proc.barrier(h.step_done).await;
         }
 
         // Checksum own molecules' final positions.

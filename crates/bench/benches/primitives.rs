@@ -15,7 +15,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use midway_core::{BackendKind, Midway, MidwayConfig, Proc, SystemBuilder};
+use midway_core::{BackendKind, Midway, MidwayConfig, SystemBuilder};
 use midway_mem::diff::PageDiff;
 use midway_mem::{DirtyBits, LayoutBuilder, LocalStore, MemClass, StoreKind, Template};
 use midway_proto::{rt, Binding};
@@ -134,9 +134,9 @@ fn bench_end_to_end() {
             let data = sb.shared_array::<u64>("d", 64, 1);
             let lock = sb.lock(vec![data.full_range()]);
             let spec = sb.build();
-            let run = Midway::run(MidwayConfig::new(2, backend), &spec, |p: &mut Proc| {
+            let run = Midway::run(MidwayConfig::new(2, backend), &spec, async |p| {
                 for _ in 0..50 {
-                    p.acquire(lock);
+                    p.acquire(lock).await;
                     let v = p.read(&data, 0);
                     p.write(&data, 0, v + 1);
                     p.release(lock);

@@ -17,7 +17,7 @@
 //! recorded byte stream is independent of the coherency unit.
 
 use midway_bench::{run_cells, BenchArgs, Json};
-use midway_core::{BackendKind, Counters, Midway, MidwayConfig, MidwayRun, Proc, SystemBuilder};
+use midway_core::{BackendKind, Counters, Midway, MidwayConfig, MidwayRun, SystemBuilder};
 use midway_replay::{replay_on, verify_replay, Trace};
 use midway_stats::{fmt_f64, fmt_u64, TextTable};
 
@@ -33,12 +33,12 @@ fn record(stride: usize, label: &str) -> Trace {
     let done = b.barrier(vec![]);
     let spec = b.build();
     let cfg = MidwayConfig::new(PROCS, BackendKind::Rt).record(true);
-    let run: MidwayRun<()> = Midway::run(cfg, &spec, |p: &mut Proc| {
+    let run: MidwayRun<()> = Midway::run(cfg, &spec, async |p| {
         // Each round one processor writes every `stride`-th element of
         // its quarter; the next round's writer pulls the lock across.
         for round in 0..ROUNDS {
             if round % PROCS == p.id() {
-                p.acquire(lock);
+                p.acquire(lock).await;
                 let chunk = N / PROCS;
                 let lo = p.id() * chunk;
                 for i in (lo..lo + chunk).step_by(stride) {
@@ -46,7 +46,7 @@ fn record(stride: usize, label: &str) -> Trace {
                 }
                 p.release(lock);
             }
-            p.barrier(done);
+            p.barrier(done).await;
         }
     })
     .unwrap();

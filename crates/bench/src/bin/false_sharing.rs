@@ -10,7 +10,7 @@
 //! that "mechanisms to handle false sharing can increase runtime overhead".
 
 use midway_bench::BenchArgs;
-use midway_core::{BackendKind, Counters, Midway, MidwayConfig, Proc, SystemBuilder};
+use midway_core::{BackendKind, Counters, Midway, MidwayConfig, SystemBuilder};
 use midway_stats::{fmt_f64, fmt_u64, TextTable};
 
 fn main() {
@@ -37,19 +37,19 @@ fn main() {
         let done = b.barrier(vec![]);
         let spec = b.build();
         let cfg = MidwayConfig::new(2, backend);
-        let run = Midway::run(cfg, &spec, |p: &mut Proc| {
+        let run = Midway::run(cfg, &spec, async |p| {
             let me = p.id();
             let other = 1 - me;
             let mut sum = 0u64;
             for round in 0..rounds {
-                p.acquire(locks[me]);
+                p.acquire(locks[me]).await;
                 p.write(&words, me, round + 1);
                 p.release(locks[me]);
-                p.acquire_shared(locks[other]);
+                p.acquire_shared(locks[other]).await;
                 sum += p.read(&words, other) as u64;
                 p.release_shared(locks[other]);
             }
-            p.barrier(done);
+            p.barrier(done).await;
             sum
         })
         .unwrap();

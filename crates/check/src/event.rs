@@ -4,8 +4,9 @@
 //! run is in flight — each processor appends to its own [`CheckLog`], and
 //! the happens-before analysis merges the logs *after* the run (see
 //! [`crate::analyze`]). This is what keeps live checking deterministic:
-//! processor threads execute concurrently in real time, so any shared
-//! checker state would observe a real-time-dependent interleaving.
+//! on the real transport processor threads execute concurrently in real
+//! time, so any shared checker state would observe a real-time-dependent
+//! interleaving.
 
 use midway_mem::AddrRange;
 

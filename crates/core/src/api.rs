@@ -95,8 +95,8 @@ impl<T: Transport<Msg = NetMsg>> Proc<'_, T> {
     /// Waits `cycles` of virtual time while the runtime keeps serving
     /// protocol requests. Use this — never a compute-only spin — to back
     /// off in polling loops, so other processors can make progress.
-    pub fn idle(&mut self, cycles: u64) {
-        self.node.idle(self.h, cycles);
+    pub async fn idle(&mut self, cycles: u64) {
+        self.node.idle(self.h, cycles).await;
         self.record_with(|| TraceOp::Idle { cycles });
     }
 
@@ -163,8 +163,8 @@ impl<T: Transport<Msg = NetMsg>> Proc<'_, T> {
     }
 
     /// Acquires `lock` exclusively (for writing).
-    pub fn acquire(&mut self, lock: LockId) {
-        self.node.acquire(self.h, lock, Mode::Exclusive);
+    pub async fn acquire(&mut self, lock: LockId) {
+        self.node.acquire(self.h, lock, Mode::Exclusive).await;
         self.check_with(|log, at| log.acquire(at, lock.0, true));
         self.record_with(|| TraceOp::Acquire {
             lock: lock.0,
@@ -173,8 +173,8 @@ impl<T: Transport<Msg = NetMsg>> Proc<'_, T> {
     }
 
     /// Acquires `lock` in non-exclusive mode (for reading).
-    pub fn acquire_shared(&mut self, lock: LockId) {
-        self.node.acquire(self.h, lock, Mode::Shared);
+    pub async fn acquire_shared(&mut self, lock: LockId) {
+        self.node.acquire(self.h, lock, Mode::Shared).await;
         self.check_with(|log, at| log.acquire(at, lock.0, false));
         self.record_with(|| TraceOp::Acquire {
             lock: lock.0,
@@ -213,9 +213,9 @@ impl<T: Transport<Msg = NetMsg>> Proc<'_, T> {
     }
 
     /// Crosses `barrier`, making its bound data consistent everywhere.
-    pub fn barrier(&mut self, barrier: BarrierId) {
+    pub async fn barrier(&mut self, barrier: BarrierId) {
         self.check_with(|log, at| log.barrier_enter(at, barrier.0));
-        self.node.barrier(self.h, barrier);
+        self.node.barrier(self.h, barrier).await;
         self.check_with(|log, at| log.barrier_exit(at, barrier.0));
         self.record_with(|| TraceOp::Barrier { barrier: barrier.0 });
     }
@@ -223,19 +223,19 @@ impl<T: Transport<Msg = NetMsg>> Proc<'_, T> {
     /// Applies one recorded operation: the replay path. Replaying every
     /// operation of a recorded stream (in order, on the processor that
     /// recorded it) reproduces the original run without the application.
-    pub fn apply_op(&mut self, op: &TraceOp) {
+    pub async fn apply_op(&mut self, op: &TraceOp) {
         match op {
             TraceOp::Work { cycles } => self.work(*cycles),
-            TraceOp::Idle { cycles } => self.idle(*cycles),
+            TraceOp::Idle { cycles } => self.idle(*cycles).await,
             TraceOp::Write { addr, data } => self.write_raw(Addr(*addr), data),
             TraceOp::Acquire {
                 lock,
                 exclusive: true,
-            } => self.acquire(LockId(*lock)),
+            } => self.acquire(LockId(*lock)).await,
             TraceOp::Acquire {
                 lock,
                 exclusive: false,
-            } => self.acquire_shared(LockId(*lock)),
+            } => self.acquire_shared(LockId(*lock)).await,
             TraceOp::Release {
                 lock,
                 exclusive: true,
@@ -245,7 +245,7 @@ impl<T: Transport<Msg = NetMsg>> Proc<'_, T> {
                 exclusive: false,
             } => self.release_shared(LockId(*lock)),
             TraceOp::Rebind { lock, ranges } => self.rebind(LockId(*lock), ranges.clone()),
-            TraceOp::Barrier { barrier } => self.barrier(BarrierId(*barrier)),
+            TraceOp::Barrier { barrier } => self.barrier(BarrierId(*barrier)).await,
         }
     }
 

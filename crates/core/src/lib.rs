@@ -20,14 +20,14 @@
 //! let lock = b.lock(vec![counter.full_range()]);
 //! let spec = b.build();
 //!
-//! let run = Midway::run(MidwayConfig::new(2, BackendKind::Rt), &spec, |p| {
+//! let run = Midway::run(MidwayConfig::new(2, BackendKind::Rt), &spec, async |p| {
 //!     for _ in 0..10 {
-//!         p.acquire(lock);
+//!         p.acquire(lock).await;
 //!         let v = p.read(&counter, 0);
 //!         p.write(&counter, 0, v + 1);
 //!         p.release(lock);
 //!     }
-//!     p.acquire(lock);
+//!     p.acquire(lock).await;
 //!     let v = p.read(&counter, 0);
 //!     p.release(lock);
 //!     v

@@ -204,11 +204,11 @@ impl DsmNode {
     /// dependence counters). Unlike pure compute, an idle wait lets other
     /// processors' messages through — including requests this processor
     /// must answer for anyone to make progress.
-    pub fn idle<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, cycles: u64) {
+    pub async fn idle<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, cycles: u64) {
         debug_assert!(!self.tick_pending, "nested idle");
         self.tick_pending = true;
         h.post_self(NetMsg::Tick, cycles);
-        self.pump_until(h, |n| !n.tick_pending);
+        self.pump_until(h, |n| !n.tick_pending).await;
     }
 
     /// Traps a store of `len` bytes at `addr` *before* the data is written
@@ -229,20 +229,20 @@ impl DsmNode {
     }
 
     /// Serves protocol messages until `done` holds.
-    fn pump_until<T: Transport<Msg = NetMsg>>(
+    async fn pump_until<T: Transport<Msg = NetMsg>>(
         &mut self,
         h: &mut T,
         done: impl Fn(&DsmNode) -> bool,
     ) {
         while !done(self) {
-            let (t, src, msg) = h.recv();
+            let (t, src, msg) = h.recv().await;
             self.handle_net(h, t.cycles(), src, msg);
         }
     }
 
     /// Serves protocol messages until the whole cluster quiesces.
-    pub fn finalize<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T) {
-        while let Some((t, src, msg)) = h.drain_recv() {
+    pub async fn finalize<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T) {
+        while let Some((t, src, msg)) = h.drain_recv().await {
             self.handle_net(h, t.cycles(), src, msg);
         }
     }

@@ -26,7 +26,7 @@ use super::{with_detector, BarrierCoord, DsmNode};
 impl DsmNode {
     /// Crosses `barrier`: ships local modifications of the bound data,
     /// waits for everyone, applies everyone else's.
-    pub fn barrier<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, barrier: BarrierId) {
+    pub async fn barrier<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, barrier: BarrierId) {
         let idx = barrier.0 as usize;
         self.clock.tick();
         let set = self.collect_barrier(h, idx);
@@ -57,7 +57,7 @@ impl DsmNode {
                 self.tree_step(h, barrier, step);
             }
         }
-        self.pump_until(h, |n| n.barriers[idx].released);
+        self.pump_until(h, |n| n.barriers[idx].released).await;
         self.barriers[idx].released = false;
         self.counters.barrier_waits += 1;
         // A completed barrier is a synchronization boundary and therefore
@@ -253,7 +253,6 @@ mod tests {
     use midway_proto::UpdateSet;
     use midway_sim::SimError;
 
-    use crate::api::Proc;
     use crate::config::{BackendKind, MidwayConfig};
     use crate::msg::DsmMsg;
     use crate::run::Midway;
@@ -270,26 +269,22 @@ mod tests {
         let data = b.shared_array::<u64>("data", 4, 1);
         let bar = b.barrier(vec![data.full_range()]);
         let spec = b.build();
-        let err = Midway::run(
-            MidwayConfig::new(2, BackendKind::Rt),
-            &spec,
-            |p: &mut Proc| {
-                if p.id() == 1 {
-                    // Two forged arrivals ahead of the real one: the
-                    // manager must eventually see processor 1 arrive twice
-                    // in one episode.
-                    for time in [1, 2] {
-                        let msg = DsmMsg::BarrierArrive {
-                            barrier: bar,
-                            set: UpdateSet::new(),
-                            time,
-                        };
-                        p.node.link.send(p.h, 0, msg);
-                    }
+        let err = Midway::run(MidwayConfig::new(2, BackendKind::Rt), &spec, async |p| {
+            if p.id() == 1 {
+                // Two forged arrivals ahead of the real one: the
+                // manager must eventually see processor 1 arrive twice
+                // in one episode.
+                for time in [1, 2] {
+                    let msg = DsmMsg::BarrierArrive {
+                        barrier: bar,
+                        set: UpdateSet::new(),
+                        time,
+                    };
+                    p.node.link.send(p.h, 0, msg);
                 }
-                p.barrier(bar);
-            },
-        )
+            }
+            p.barrier(bar).await;
+        })
         .unwrap_err();
         match err {
             SimError::ProtocolViolation { proc, message } => {
@@ -311,7 +306,7 @@ mod tests {
         let err = Midway::run(
             MidwayConfig::new(3, BackendKind::Rt).tree_barriers(2),
             &spec,
-            |p: &mut Proc| {
+            async |p| {
                 if p.id() == 1 {
                     for time in [1, 2] {
                         let msg = DsmMsg::BarrierArrive {
@@ -322,7 +317,7 @@ mod tests {
                         p.node.link.send(p.h, 0, msg);
                     }
                 }
-                p.barrier(bar);
+                p.barrier(bar).await;
             },
         )
         .unwrap_err();

@@ -9,7 +9,12 @@ use super::DsmNode;
 
 impl DsmNode {
     /// Acquires `lock` in `mode`, blocking until granted and consistent.
-    pub fn acquire<T: Transport<Msg = NetMsg>>(&mut self, h: &mut T, lock: LockId, mode: Mode) {
+    pub async fn acquire<T: Transport<Msg = NetMsg>>(
+        &mut self,
+        h: &mut T,
+        lock: LockId,
+        mode: Mode,
+    ) {
         let idx = lock.0 as usize;
         assert!(
             self.locks[idx].held.is_none(),
@@ -29,7 +34,7 @@ impl DsmNode {
             self.link
                 .send(h, home, DsmMsg::AcquireReq { lock, mode, seen });
         }
-        self.pump_until(h, |n| n.locks[idx].held.is_some());
+        self.pump_until(h, |n| n.locks[idx].held.is_some()).await;
         self.counters.lock_acquires += 1;
         // The grant installed the hold (and possibly a rebound binding):
         // log the new lock state so a recovery reproduces it.

@@ -106,7 +106,7 @@ type SessionOut<R> = (
 
 /// One processor's whole life, on any transport: build the node, run the
 /// application closure, serve the cluster until quiescence, report.
-fn proc_session<R, T, F>(
+async fn proc_session<R, T, F>(
     cfg: MidwayConfig,
     spec: &Arc<SystemSpec>,
     h: &mut T,
@@ -114,7 +114,7 @@ fn proc_session<R, T, F>(
 ) -> SessionOut<R>
 where
     T: Transport<Msg = NetMsg>,
-    F: Fn(&mut Proc<'_, T>) -> R,
+    F: AsyncFn(&mut Proc<'_, T>) -> R,
 {
     let node = DsmNode::new(h.id(), cfg, Arc::clone(spec));
     node.schedule_crashes(h);
@@ -123,8 +123,8 @@ where
         h,
         rec: cfg.record.then(Vec::new),
     };
-    let r = f(&mut proc);
-    proc.node.finalize(proc.h);
+    let r = f(&mut proc).await;
+    proc.node.finalize(proc.h).await;
     let digest = proc.node.store.digest();
     let check_log = proc.node.check.take();
     let alloc = proc.node.alloc_stats();
@@ -212,9 +212,11 @@ pub struct Midway;
 impl Midway {
     /// Runs `f` once per processor against `spec` under `cfg`.
     ///
-    /// The closure receives a [`Proc`] — the processor's DSM view. After it
-    /// returns, the runtime keeps serving protocol requests until the whole
-    /// cluster quiesces.
+    /// The closure receives a [`Proc`] — the processor's DSM view — and
+    /// awaits its synchronization calls. After it returns, the runtime
+    /// keeps serving protocol requests until the whole cluster quiesces.
+    /// Every processor runs as a future on the calling thread
+    /// ([`Cluster::run_async`]).
     ///
     /// # Errors
     ///
@@ -231,8 +233,7 @@ impl Midway {
         f: F,
     ) -> Result<MidwayRun<R>, SimError>
     where
-        R: Send,
-        F: Fn(&mut Proc<'_>) -> R + Send + Sync,
+        F: AsyncFn(&mut Proc<'_>) -> R,
     {
         assert_backend_supported(&cfg);
         let blueprint = cfg.record.then(|| SpecBlueprint::capture(spec));
@@ -242,8 +243,8 @@ impl Midway {
             net: cfg.net,
             faults: cfg.faults,
         };
-        let out = Cluster::run(cluster, move |h: &mut midway_sim::ProcHandle<NetMsg>| {
-            proc_session(cfg, &run_spec, h, &f)
+        let out = Cluster::run_async(cluster, async |h: &mut midway_sim::ProcHandle<NetMsg>| {
+            proc_session(cfg, &run_spec, h, &f).await
         })?;
         Ok(assemble(
             cfg,
@@ -287,7 +288,7 @@ impl Midway {
     ) -> Result<MidwayRun<R>, RealError>
     where
         R: Send,
-        F: Fn(&mut Proc<'_, RealTransport<NetMsg>>) -> R + Send + Sync,
+        F: AsyncFn(&mut Proc<'_, RealTransport<NetMsg>>) -> R + Sync,
     {
         assert_backend_supported(&cfg);
         assert!(
@@ -301,8 +302,8 @@ impl Midway {
         }
         let blueprint = cfg.record.then(|| SpecBlueprint::capture(spec));
         let run_spec = Arc::clone(spec);
-        let out = RealCluster::run(real, cfg.procs, move |h: &mut RealTransport<NetMsg>| {
-            proc_session(cfg, &run_spec, h, &f)
+        let out = RealCluster::run(real, cfg.procs, async |h: &mut RealTransport<NetMsg>| {
+            proc_session(cfg, &run_spec, h, &f).await
         })?;
         Ok(assemble(
             cfg,

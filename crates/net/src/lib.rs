@@ -21,7 +21,7 @@
 //!
 //! Real frames are serialized with the dependency-free [`Wire`] codec;
 //! [`RealCluster::run`] is the socket-backed counterpart of the
-//! simulator's `Cluster::run`.
+//! simulator's `Cluster::run_async`.
 
 mod hub;
 mod real;

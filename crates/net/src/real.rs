@@ -25,10 +25,13 @@
 //! practice, but the transport makes no such promise — the reliable
 //! channel above handles loss, duplication, and reordering.
 
+use std::future::Future;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::pin::pin;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::{Arc, Mutex, PoisonError};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use midway_sim::{
@@ -517,12 +520,12 @@ impl<M: Wire + Send> Transport for RealTransport<M> {
         self.hub.pending_self[self.me].fetch_add(1, SeqCst);
     }
 
-    fn recv(&mut self) -> (VirtualTime, usize, M) {
+    async fn recv(&mut self) -> (VirtualTime, usize, M) {
         self.recv_inner(false)
             .expect("blocking recv cannot observe quiescence")
     }
 
-    fn drain_recv(&mut self) -> Option<(VirtualTime, usize, M)> {
+    async fn drain_recv(&mut self) -> Option<(VirtualTime, usize, M)> {
         self.recv_inner(true)
     }
 
@@ -552,6 +555,16 @@ impl<M: Wire + Send> Transport for RealTransport<M> {
     }
 }
 
+/// Runs a processor's future to completion on the current thread with a
+/// no-op waker. Real transports block inside `recv`, so the future never
+/// pends; if one does, nothing could ever wake it, and this panics.
+fn block_on<T>(fut: impl Future<Output = T>) -> T {
+    match pin!(fut).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(v) => v,
+        Poll::Pending => panic!("a real-transport processor's future pended"),
+    }
+}
+
 /// Entry point: runs one closure per processor, each on its own OS
 /// thread, over real loopback sockets.
 pub struct RealCluster;
@@ -559,7 +572,9 @@ pub struct RealCluster;
 impl RealCluster {
     /// Runs `f` on every processor of a real-transport cluster and
     /// collects the results. The counterpart of the simulator's
-    /// `Cluster::run`.
+    /// `Cluster::run_async`: each processor's future runs on its own OS
+    /// thread, where `recv` blocks on the sockets, so it completes in one
+    /// poll.
     ///
     /// # Errors
     ///
@@ -570,7 +585,7 @@ impl RealCluster {
     where
         M: Wire + Send + 'static,
         R: Send,
-        F: Fn(&mut RealTransport<M>) -> R + Send + Sync,
+        F: AsyncFn(&mut RealTransport<M>) -> R + Sync,
     {
         assert!(procs > 0, "cluster needs at least one processor");
         let hub: Arc<Hub<M>> = Arc::new(Hub::new(procs, matches!(cfg.mode, RealMode::Tcp)));
@@ -676,7 +691,7 @@ impl RealCluster {
                             busy_marked: false,
                             idle_marked: false,
                         };
-                        let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut t)));
+                        let outcome = catch_unwind(AssertUnwindSafe(|| block_on(f(&mut t))));
                         // FINISHED before the transport (and its sockets)
                         // drops, so peer readers treat the EOF as expected.
                         t.hub.status[id].store(status::FINISHED, SeqCst);

@@ -1,6 +1,8 @@
 //! The transport seam: the exact message-passing surface the DSM protocol
 //! engine needs, abstracted from the virtual-time simulator.
 
+use std::future::Future;
+
 use midway_sim::{Category, ProcHandle, VirtualTime};
 
 /// The message-passing surface a processor's protocol engine runs against.
@@ -8,14 +10,17 @@ use midway_sim::{Category, ProcHandle, VirtualTime};
 /// This trait is extracted verbatim from the concrete
 /// [`ProcHandle`](midway_sim::ProcHandle) API the DSM runtime was written
 /// on: per-processor identity, a cycle clock with charge categories,
-/// point-to-point `send`, blocking `recv`, the quiescence-aware
+/// point-to-point `send`, an awaitable `recv`, the quiescence-aware
 /// `drain_recv`, the `post_self` timer primitive, and typed violation
 /// reporting. Anything that implements it can host the protocol engine
 /// unchanged; the repo ships two implementations:
 ///
 /// * the virtual-time simulator's `ProcHandle` (deterministic, impl #1),
+///   whose `recv` future pends until the single-thread scheduler has
+///   delivered the next event;
 /// * [`RealTransport`](crate::RealTransport) over loopback TCP or UDP
-///   sockets with one OS thread per processor (wall-clock, impl #2).
+///   sockets with one OS thread per processor (wall-clock, impl #2),
+///   whose `recv` future blocks on the socket and never pends.
 ///
 /// # Contract
 ///
@@ -69,11 +74,11 @@ pub trait Transport {
 
     /// Receives the next message addressed to this processor, advancing
     /// the clock to its delivery time. Returns `(delivery time, src, msg)`.
-    fn recv(&mut self) -> (VirtualTime, usize, Self::Msg);
+    fn recv(&mut self) -> impl Future<Output = (VirtualTime, usize, Self::Msg)>;
 
     /// Like [`recv`](Transport::recv), but returns `None` once the whole
     /// cluster has quiesced (all processors draining, nothing in flight).
-    fn drain_recv(&mut self) -> Option<(VirtualTime, usize, Self::Msg)>;
+    fn drain_recv(&mut self) -> impl Future<Output = Option<(VirtualTime, usize, Self::Msg)>>;
 
     /// Aborts the run with a typed protocol-invariant error. Never returns.
     fn protocol_violation(&mut self, message: String) -> !;
@@ -96,8 +101,9 @@ pub trait Transport {
 /// Impl #1: the virtual-time simulator's processor handle.
 ///
 /// Every method forwards to the inherent `ProcHandle` method of the same
-/// name, so code generic over [`Transport`] behaves bit-for-bit like code
-/// written directly against the simulator.
+/// name (`recv` and `drain_recv` to their `_async` forms), so code generic
+/// over [`Transport`] behaves bit-for-bit like code written directly
+/// against the simulator.
 impl<M: Send + Clone> Transport for ProcHandle<M> {
     type Msg = M;
 
@@ -129,12 +135,12 @@ impl<M: Send + Clone> Transport for ProcHandle<M> {
         ProcHandle::post_self(self, msg, delay);
     }
 
-    fn recv(&mut self) -> (VirtualTime, usize, M) {
-        ProcHandle::recv(self)
+    fn recv(&mut self) -> impl Future<Output = (VirtualTime, usize, M)> {
+        ProcHandle::recv_async(self)
     }
 
-    fn drain_recv(&mut self) -> Option<(VirtualTime, usize, M)> {
-        ProcHandle::drain_recv(self)
+    fn drain_recv(&mut self) -> impl Future<Output = Option<(VirtualTime, usize, M)>> {
+        ProcHandle::drain_recv_async(self)
     }
 
     fn protocol_violation(&mut self, message: String) -> ! {

@@ -2,13 +2,15 @@
 //!
 //! Every behavioral property the DSM protocol engine relies on is checked
 //! as a generic function over [`Transport`], then run against all three
-//! concrete configurations: the virtual-time simulator (`ProcHandle`),
-//! real loopback TCP, and real loopback UDP. A transport that passes this
+//! concrete configurations: the virtual-time simulator (`ProcHandle`,
+//! single-thread driver), real loopback TCP, and real loopback UDP. A transport that passes this
 //! suite can host the protocol engine.
 
 use std::time::Duration;
 
-use midway_net::{put_u64, RealCluster, RealConfig, RealError, Transport, Wire, WireError};
+use midway_net::{
+    put_u64, RealCluster, RealConfig, RealError, RealTransport, Transport, Wire, WireError,
+};
 use midway_sim::{Cluster, ClusterConfig, FaultPlan, ProcHandle, SimError};
 
 /// The suite's message type: a bare payload word.
@@ -40,12 +42,12 @@ fn udp() -> RealConfig {
 /// Per-pair FIFO: every processor > 0 sends a numbered burst to proc 0,
 /// which must observe each source's numbers in send order (no cross-pair
 /// ordering is asserted).
-fn ordering_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> bool {
+async fn ordering_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> bool {
     if t.id() == 0 {
         let senders = t.procs() - 1;
         let mut next = vec![0u64; t.procs()];
         for _ in 0..senders as u64 * burst {
-            let (_, src, TMsg(n)) = t.recv();
+            let (_, src, TMsg(n)) = t.recv().await;
             if n != next[src] {
                 return false;
             }
@@ -62,8 +64,8 @@ fn ordering_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> bool {
 
 #[test]
 fn ordering_sim() {
-    let out = Cluster::run(ClusterConfig::new(4), |h: &mut ProcHandle<TMsg>| {
-        ordering_body(h, 200)
+    let out = Cluster::run_async(ClusterConfig::new(4), async |h: &mut ProcHandle<TMsg>| {
+        ordering_body(h, 200).await
     })
     .unwrap();
     assert!(out.results.iter().all(|&ok| ok));
@@ -71,7 +73,10 @@ fn ordering_sim() {
 
 #[test]
 fn ordering_tcp() {
-    let out = RealCluster::run(&tcp(), 4, |t| ordering_body(t, 200)).unwrap();
+    let out = RealCluster::run(&tcp(), 4, async |t: &mut RealTransport<TMsg>| {
+        ordering_body(t, 200).await
+    })
+    .unwrap();
     assert!(out.results.iter().all(|&ok| ok));
 }
 
@@ -79,11 +84,11 @@ fn ordering_tcp() {
 /// bursts even on loopback), so the conformance property is per-pair
 /// *monotone* order of whatever arrives, not lossless delivery. The
 /// reliable channel above the transport recovers the rest.
-fn ordering_udp_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> bool {
+async fn ordering_udp_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> bool {
     if t.id() == 0 {
         let mut last: Vec<Option<u64>> = vec![None; t.procs()];
         let mut total = 0u64;
-        while let Some((_, src, TMsg(n))) = t.drain_recv() {
+        while let Some((_, src, TMsg(n))) = t.drain_recv().await {
             if last[src].is_some_and(|prev| n <= prev) {
                 return false;
             }
@@ -95,14 +100,17 @@ fn ordering_udp_body<T: Transport<Msg = TMsg>>(t: &mut T, burst: u64) -> bool {
         for n in 0..burst {
             t.send(0, TMsg(n), 8);
         }
-        while t.drain_recv().is_some() {}
+        while t.drain_recv().await.is_some() {}
         true
     }
 }
 
 #[test]
 fn ordering_udp() {
-    let out = RealCluster::run(&udp(), 4, |t| ordering_udp_body(t, 200)).unwrap();
+    let out = RealCluster::run(&udp(), 4, async |t: &mut RealTransport<TMsg>| {
+        ordering_udp_body(t, 200).await
+    })
+    .unwrap();
     assert!(out.results.iter().all(|&ok| ok));
 }
 
@@ -110,14 +118,14 @@ fn ordering_udp() {
 
 /// Self-posts come back from the processor's own id, in deadline order,
 /// never early.
-fn self_post_body<T: Transport<Msg = TMsg>>(t: &mut T) -> Vec<u64> {
+async fn self_post_body<T: Transport<Msg = TMsg>>(t: &mut T) -> Vec<u64> {
     let posted_at = t.now();
     t.post_self(TMsg(3), 30_000);
     t.post_self(TMsg(1), 10_000);
     t.post_self(TMsg(2), 20_000);
     let mut got = Vec::new();
     for _ in 0..3 {
-        let (at, src, TMsg(n)) = t.recv();
+        let (at, src, TMsg(n)) = t.recv().await;
         assert_eq!(src, t.id(), "self-posts must come from self");
         assert!(
             at.cycles() >= posted_at.cycles() + n * 10_000,
@@ -131,8 +139,8 @@ fn self_post_body<T: Transport<Msg = TMsg>>(t: &mut T) -> Vec<u64> {
 
 #[test]
 fn self_post_sim() {
-    let out = Cluster::run(ClusterConfig::new(2), |h: &mut ProcHandle<TMsg>| {
-        self_post_body(h)
+    let out = Cluster::run_async(ClusterConfig::new(2), async |h: &mut ProcHandle<TMsg>| {
+        self_post_body(h).await
     })
     .unwrap();
     assert_eq!(out.results, vec![vec![1, 2, 3], vec![1, 2, 3]]);
@@ -155,20 +163,20 @@ fn self_post_udp() {
 /// Proc 0 reports a protocol violation while its peers sit blocked in
 /// `recv` and `drain_recv`; the violation must come through typed, with
 /// the reporter's id, and must wake everyone (the run terminates).
-fn violation_body<T: Transport<Msg = TMsg>>(t: &mut T) {
+async fn violation_body<T: Transport<Msg = TMsg>>(t: &mut T) {
     match t.id() {
         0 => t.protocol_violation("acquire for lock 9 routed to non-home".into()),
         1 => {
-            t.recv();
+            t.recv().await;
         }
-        _ => while t.drain_recv().is_some() {},
+        _ => while t.drain_recv().await.is_some() {},
     }
 }
 
 #[test]
 fn violation_sim() {
-    let err = Cluster::run(ClusterConfig::new(3), |h: &mut ProcHandle<TMsg>| {
-        violation_body(h)
+    let err = Cluster::run_async(ClusterConfig::new(3), async |h: &mut ProcHandle<TMsg>| {
+        violation_body(h).await
     })
     .unwrap_err();
     match err {
@@ -205,17 +213,17 @@ fn violation_udp() {
 }
 
 /// App violations carry their own type.
-fn app_violation_body<T: Transport<Msg = TMsg>>(t: &mut T) {
+async fn app_violation_body<T: Transport<Msg = TMsg>>(t: &mut T) {
     match t.id() {
         0 => t.app_violation("shared write out of bounds".into()),
-        _ => while t.drain_recv().is_some() {},
+        _ => while t.drain_recv().await.is_some() {},
     }
 }
 
 #[test]
 fn app_violation_sim() {
-    let err = Cluster::run(ClusterConfig::new(2), |h: &mut ProcHandle<TMsg>| {
-        app_violation_body(h)
+    let err = Cluster::run_async(ClusterConfig::new(2), async |h: &mut ProcHandle<TMsg>| {
+        app_violation_body(h).await
     })
     .unwrap_err();
     assert!(matches!(err, SimError::AppViolation { proc: 0, .. }));
@@ -228,11 +236,11 @@ fn app_violation_tcp() {
 }
 
 /// Plain panics in the closure are caught and attributed.
-fn panic_body<T: Transport<Msg = TMsg>>(t: &mut T) {
+async fn panic_body<T: Transport<Msg = TMsg>>(t: &mut T) {
     if t.id() == 1 {
         panic!("boom on proc 1");
     }
-    while t.drain_recv().is_some() {}
+    while t.drain_recv().await.is_some() {}
 }
 
 #[test]
@@ -252,14 +260,14 @@ fn panic_tcp() {
 /// `drain_recv` returns every sent message, then `None` everywhere once
 /// the cluster is quiet — including messages sent from inside drain
 /// handlers (proc 1 forwards what it gets to proc 2).
-fn drain_body<T: Transport<Msg = TMsg>>(t: &mut T) -> u64 {
+async fn drain_body<T: Transport<Msg = TMsg>>(t: &mut T) -> u64 {
     if t.id() == 0 {
         for n in 0..10 {
             t.send(1, TMsg(n), 8);
         }
     }
     let mut seen = 0;
-    while let Some((_, src, TMsg(n))) = t.drain_recv() {
+    while let Some((_, src, TMsg(n))) = t.drain_recv().await {
         if src != t.id() {
             seen += 1;
         }
@@ -272,8 +280,8 @@ fn drain_body<T: Transport<Msg = TMsg>>(t: &mut T) -> u64 {
 
 #[test]
 fn drain_quiesce_sim() {
-    let out = Cluster::run(ClusterConfig::new(3), |h: &mut ProcHandle<TMsg>| {
-        drain_body(h)
+    let out = Cluster::run_async(ClusterConfig::new(3), async |h: &mut ProcHandle<TMsg>| {
+        drain_body(h).await
     })
     .unwrap();
     assert_eq!(out.results, vec![0, 10, 10]);
@@ -293,10 +301,10 @@ fn drain_quiesce_udp() {
 
 /// Pending self-timers hold off quiescence: a drain must still deliver a
 /// timer posted before draining started, even with an empty network.
-fn drain_timer_body<T: Transport<Msg = TMsg>>(t: &mut T) -> u64 {
+async fn drain_timer_body<T: Transport<Msg = TMsg>>(t: &mut T) -> u64 {
     t.post_self(TMsg(7), 50_000);
     let mut ticks = 0;
-    while let Some((_, src, _)) = t.drain_recv() {
+    while let Some((_, src, _)) = t.drain_recv().await {
         assert_eq!(src, t.id());
         ticks += 1;
     }
@@ -305,8 +313,8 @@ fn drain_timer_body<T: Transport<Msg = TMsg>>(t: &mut T) -> u64 {
 
 #[test]
 fn drain_waits_for_timers_sim() {
-    let out = Cluster::run(ClusterConfig::new(2), |h: &mut ProcHandle<TMsg>| {
-        drain_timer_body(h)
+    let out = Cluster::run_async(ClusterConfig::new(2), async |h: &mut ProcHandle<TMsg>| {
+        drain_timer_body(h).await
     })
     .unwrap();
     assert_eq!(out.results, vec![1, 1]);
@@ -326,8 +334,8 @@ fn watchdog_aborts_hung_run_with_dumps() {
     // a deadlock; wall-clock transports cannot see that, so the watchdog
     // steps in).
     let cfg = RealConfig::tcp().watchdog(Some(Duration::from_millis(300)));
-    let err = RealCluster::run(&cfg, 2, |t: &mut midway_net::RealTransport<TMsg>| {
-        t.recv();
+    let err = RealCluster::run(&cfg, 2, async |t: &mut RealTransport<TMsg>| {
+        t.recv().await;
     })
     .unwrap_err();
     match err {
@@ -344,14 +352,14 @@ fn udp_injected_drops_are_deterministic_and_counted() {
     let run = || {
         let cfg =
             RealConfig::udp(FaultPlan::lossy(3, 200_000)).watchdog(Some(Duration::from_secs(30)));
-        let out = RealCluster::run(&cfg, 2, |t: &mut midway_net::RealTransport<TMsg>| {
+        let out = RealCluster::run(&cfg, 2, async |t: &mut RealTransport<TMsg>| {
             if t.id() == 0 {
                 for n in 0..500 {
                     t.send(1, TMsg(n), 8);
                 }
             }
             let mut got = 0u64;
-            while t.drain_recv().is_some() {
+            while t.drain_recv().await.is_some() {
                 got += 1;
             }
             got
@@ -372,14 +380,14 @@ fn udp_injected_drops_are_deterministic_and_counted() {
 
 #[test]
 fn tcp_report_counts_messages() {
-    let out = RealCluster::run(&tcp(), 2, |t: &mut midway_net::RealTransport<TMsg>| {
+    let out = RealCluster::run(&tcp(), 2, async |t: &mut RealTransport<TMsg>| {
         if t.id() == 0 {
             for n in 0..25 {
                 t.send(1, TMsg(n), 16);
             }
         }
         let mut got = 0u64;
-        while t.drain_recv().is_some() {
+        while t.drain_recv().await.is_some() {
             got += 1;
         }
         got

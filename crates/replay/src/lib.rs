@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use midway_apps::{run_app, AppKind, AppOutcome, Scale};
 use midway_core::{
-    Counters, FaultPlan, LinkStats, Midway, MidwayConfig, MidwayRun, Proc, SimError, SpecBlueprint,
+    Counters, FaultPlan, LinkStats, Midway, MidwayConfig, MidwayRun, SimError, SpecBlueprint,
     SystemSpec, TraceOp,
 };
 
@@ -256,9 +256,9 @@ pub fn replay_on(
         trace.ops.len()
     );
     let ops = &trace.ops;
-    Midway::run(cfg, spec, |p: &mut Proc| {
+    Midway::run(cfg, spec, async |p| {
         for op in &ops[p.id()] {
-            p.apply_op(op);
+            p.apply_op(op).await;
         }
     })
 }

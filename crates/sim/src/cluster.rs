@@ -1,13 +1,15 @@
 //! Public cluster API: configuration, processor handles, run outcomes.
 
+use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::task::{Context, Poll, Waker};
 
 use crate::clock::{Category, CpuClock, CATEGORY_COUNT};
 use crate::event::Event;
 use crate::fault::{FaultDecision, FaultPlan, FaultStats};
 use crate::net::NetModel;
-use crate::sched::{Poison, Scheduler};
+use crate::sched::{Next, Poison, Received, Scheduler};
 use crate::time::VirtualTime;
 
 /// Configuration for a simulated cluster run.
@@ -131,7 +133,7 @@ impl From<Poison> for SimError {
 struct SimAbort(Poison);
 
 /// Per-processor accounting published at the end of a run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProcReport {
     /// The processor's final virtual time.
     pub final_time: VirtualTime,
@@ -164,7 +166,8 @@ pub struct RunOutcome<R> {
 
 /// A simulated processor, handed to the per-processor closure.
 ///
-/// All methods take `&mut self`; each handle is owned by exactly one thread.
+/// All methods take `&mut self`; each handle belongs to exactly one
+/// processor's closure.
 pub struct ProcHandle<M> {
     id: usize,
     procs: usize,
@@ -310,27 +313,56 @@ impl<M: Send + Clone> ProcHandle<M> {
     /// Receives the next message addressed to this processor, advancing the
     /// clock to its delivery time. Returns `(delivery time, src, msg)`.
     ///
+    /// Under [`Cluster::run_async`] this parks the processor and returns
+    /// `Pending` to the poll loop, which polls it again once the event is
+    /// in its slot; under the threaded [`Cluster::run`] it blocks.
+    ///
     /// # Panics
     ///
     /// Panics (aborting the whole simulation) on deadlock: every processor
     /// blocked in `recv` with nothing in flight indicates a protocol bug.
-    pub fn recv(&mut self) -> (VirtualTime, usize, M) {
+    pub async fn recv_async(&mut self) -> (VirtualTime, usize, M) {
         self.recv_inner(false)
+            .await
             .expect("recv cannot observe quiescence")
     }
 
-    /// Like [`recv`](Self::recv), but also returns `None` when the whole
-    /// cluster has quiesced (all processors draining, nothing in flight).
-    ///
-    /// Used by the DSM runtime's end-of-run service loop: a processor that
-    /// has finished its application work keeps serving protocol messages
-    /// until the cluster agrees nothing more can arrive.
-    pub fn drain_recv(&mut self) -> Option<(VirtualTime, usize, M)> {
-        self.recv_inner(true)
+    /// Like [`recv_async`](Self::recv_async), but also returns `None` when
+    /// the whole cluster has quiesced (all processors draining, nothing in
+    /// flight). Used by the DSM runtime's end-of-run service loop: a
+    /// processor that has finished its application work keeps serving
+    /// protocol messages until the cluster agrees nothing more can arrive.
+    pub async fn drain_recv_async(&mut self) -> Option<(VirtualTime, usize, M)> {
+        self.recv_inner(true).await
     }
 
-    fn recv_inner(&mut self, draining: bool) -> Option<(VirtualTime, usize, M)> {
-        match self.sched.block_recv(self.id, draining) {
+    async fn recv_inner(&mut self, draining: bool) -> Option<(VirtualTime, usize, M)> {
+        let got = if self.sched.threaded() {
+            self.sched.block_recv(self.id, draining)
+        } else {
+            self.sched.lock().park(self.id, draining);
+            poll_fn(|_| {
+                self.sched
+                    .lock()
+                    .take(self.id)
+                    .map_or(Poll::Pending, Poll::Ready)
+            })
+            .await
+        };
+        self.accept(got)
+    }
+
+    /// The blocking [`recv_async`](Self::recv_async), for the threaded
+    /// [`Cluster::run`]. It panics under [`Cluster::run_async`], where
+    /// blocking would hang the driver's only thread.
+    pub fn recv(&mut self) -> (VirtualTime, usize, M) {
+        let got = self.sched.block_recv(self.id, false);
+        self.accept(got).expect("recv cannot observe quiescence")
+    }
+
+    /// Charges a completed receive, or unwinds out of a poisoned run.
+    fn accept(&mut self, got: Received<M>) -> Option<(VirtualTime, usize, M)> {
+        match got {
             Ok(Some((at, src, msg))) => {
                 self.clock.advance_to(at);
                 if src != self.id {
@@ -375,6 +407,22 @@ impl<M: Send + Clone> ProcHandle<M> {
         }))
     }
 
+    fn new(id: usize, cfg: &ClusterConfig, sched: &Arc<Scheduler<M>>) -> ProcHandle<M> {
+        ProcHandle {
+            id,
+            procs: cfg.procs,
+            net: cfg.net,
+            faults: cfg.faults,
+            sched: Arc::clone(sched),
+            clock: CpuClock::new(),
+            seq: 0,
+            msgs_sent: 0,
+            bytes_sent: 0,
+            msgs_received: 0,
+            fault_stats: FaultStats::default(),
+        }
+    }
+
     fn report(&self) -> ProcReport {
         ProcReport {
             final_time: self.clock.now(),
@@ -391,12 +439,67 @@ impl<M: Send + Clone> ProcHandle<M> {
 pub struct Cluster;
 
 impl Cluster {
-    /// Runs `f` on every processor of a simulated cluster and collects the
-    /// results.
+    /// Runs `f` on every processor of a simulated cluster, all on the
+    /// calling thread, and collects the results. Each processor is a
+    /// future polled until it pends in [`ProcHandle::recv_async`]; once
+    /// none is runnable, the minimal event goes to its destination's slot
+    /// and the loop polls that one future (every drainer on quiescence).
     ///
-    /// `f` is invoked once per processor with that processor's handle. The
-    /// call returns when every closure has returned (and, for processors
-    /// that use [`ProcHandle::drain_recv`], the cluster has quiesced).
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the simulation deadlocks, a message is sent
+    /// to a finished processor, or any closure panics or reports a
+    /// violation. The remaining futures are dropped unfinished.
+    pub fn run_async<M, R, F>(cfg: ClusterConfig, f: F) -> Result<RunOutcome<R>, SimError>
+    where
+        M: Send + Clone + 'static,
+        F: AsyncFn(&mut ProcHandle<M>) -> R,
+    {
+        assert!(cfg.procs > 0, "cluster needs at least one processor");
+        let sched: Arc<Scheduler<M>> = Arc::new(Scheduler::new(cfg.procs, false));
+        let mut handles: Vec<ProcHandle<M>> = (0..cfg.procs)
+            .map(|id| ProcHandle::new(id, &cfg, &sched))
+            .collect();
+        let mut results: Vec<Option<R>> = (0..cfg.procs).map(|_| None).collect();
+        {
+            let mut futs: Vec<_> = handles.iter_mut().map(|h| Some(Box::pin(f(h)))).collect();
+            let mut cx = Context::from_waker(Waker::noop());
+            let mut runnable: Vec<usize> = (0..cfg.procs).rev().collect();
+            'run: loop {
+                while let Some(id) = runnable.pop() {
+                    let fut = futs[id].as_mut().expect("a runnable processor is live");
+                    let abort = match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)))
+                    {
+                        Ok(Poll::Ready(val)) => {
+                            results[id] = Some(val);
+                            futs[id] = None;
+                            sched.finish(id);
+                            continue;
+                        }
+                        Ok(Poll::Pending) if sched.lock().parked(id) => continue,
+                        Ok(Poll::Pending) => Poison::Panic {
+                            proc: id,
+                            message: "processor future pended outside recv_async".into(),
+                        },
+                        Err(payload) => poison_of(id, payload),
+                    };
+                    sched.set_poison(abort);
+                    break 'run;
+                }
+                match sched.lock().dispatch() {
+                    Next::Deliver(dst) => runnable.push(dst),
+                    Next::Release(drainers) if !drainers.is_empty() => runnable = drainers,
+                    Next::Release(_) | Next::Stop => break,
+                }
+            }
+        }
+        let reports = handles.iter().map(|h| Some(h.report())).collect();
+        outcome(&sched, results, reports)
+    }
+
+    /// [`run_async`](Self::run_async) with one OS thread per processor and
+    /// a blocking [`ProcHandle::recv`]: the same scheduler core, the same
+    /// results, but each delivery is a condvar handoff between threads.
     ///
     /// # Errors
     ///
@@ -409,76 +512,69 @@ impl Cluster {
         F: Fn(&mut ProcHandle<M>) -> R + Send + Sync,
     {
         assert!(cfg.procs > 0, "cluster needs at least one processor");
-        let sched: Arc<Scheduler<M>> = Arc::new(Scheduler::new(cfg.procs));
+        let sched: Arc<Scheduler<M>> = Arc::new(Scheduler::new(cfg.procs, true));
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..cfg.procs).map(|_| None).collect());
         let reports: Mutex<Vec<Option<ProcReport>>> =
             Mutex::new((0..cfg.procs).map(|_| None).collect());
 
         std::thread::scope(|scope| {
             for id in 0..cfg.procs {
-                let sched = Arc::clone(&sched);
-                let f = &f;
-                let results = &results;
-                let reports = &reports;
+                let (sched, f, results, reports) = (&sched, &f, &results, &reports);
                 scope.spawn(move || {
-                    let mut handle = ProcHandle {
-                        id,
-                        procs: cfg.procs,
-                        net: cfg.net,
-                        faults: cfg.faults,
-                        sched: Arc::clone(&sched),
-                        clock: CpuClock::new(),
-                        seq: 0,
-                        msgs_sent: 0,
-                        bytes_sent: 0,
-                        msgs_received: 0,
-                        fault_stats: FaultStats::default(),
-                    };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
-                    match outcome {
+                    let mut handle = ProcHandle::new(id, &cfg, sched);
+                    match catch_unwind(AssertUnwindSafe(|| f(&mut handle))) {
                         Ok(val) => {
                             lock_vec(reports)[id] = Some(handle.report());
                             lock_vec(results)[id] = Some(val);
                             sched.finish(id);
                         }
-                        Err(payload) => {
-                            if let Some(abort) = payload.downcast_ref::<SimAbort>() {
-                                // The cluster is already poisoned; just make
-                                // sure everyone is awake.
-                                sched.set_poison(abort.0.clone());
-                            } else {
-                                let message = panic_message(&*payload);
-                                sched.abandon(id, message);
-                            }
-                        }
+                        Err(payload) => sched.set_poison(poison_of(id, payload)),
                     }
                 });
             }
         });
+        outcome(&sched, into_vec(results), into_vec(reports))
+    }
+}
 
-        if let Some(poison) = sched.poison() {
-            return Err(poison.into());
-        }
-        let results: Vec<R> = into_vec(results)
-            .into_iter()
-            .map(|r| r.expect("every processor finished"))
-            .collect();
-        let reports: Vec<ProcReport> = into_vec(reports)
-            .into_iter()
-            .map(|r| r.expect("every processor reported"))
-            .collect();
-        let finish_time = reports
-            .iter()
-            .map(|r| r.final_time)
-            .max()
-            .unwrap_or(VirtualTime::ZERO);
-        Ok(RunOutcome {
-            results,
-            reports,
-            finish_time,
-            messages_delivered: sched.delivered(),
-            sched: sched.stats(),
-        })
+/// The run's outcome once every processor has stopped: the poison if any,
+/// otherwise the collected results and reports.
+fn outcome<M, R>(
+    sched: &Scheduler<M>,
+    results: Vec<Option<R>>,
+    reports: Vec<Option<ProcReport>>,
+) -> Result<RunOutcome<R>, SimError> {
+    if let Some(poison) = sched.poison() {
+        return Err(poison.into());
+    }
+    let results: Option<Vec<R>> = results.into_iter().collect();
+    let results = results.expect("every processor finished");
+    let reports: Option<Vec<ProcReport>> = reports.into_iter().collect();
+    let reports = reports.expect("every processor reported");
+    let finish_time = reports
+        .iter()
+        .map(|r| r.final_time)
+        .max()
+        .unwrap_or(VirtualTime::ZERO);
+    let sched = sched.stats();
+    Ok(RunOutcome {
+        results,
+        reports,
+        finish_time,
+        messages_delivered: sched.delivered,
+        sched,
+    })
+}
+
+/// Why processor `id`'s closure unwound: a deliberate [`SimAbort`] carries
+/// its own poison, anything else is an application panic.
+fn poison_of(id: usize, payload: Box<dyn std::any::Any + Send>) -> Poison {
+    match payload.downcast::<SimAbort>() {
+        Ok(abort) => abort.0,
+        Err(payload) => Poison::Panic {
+            proc: id,
+            message: panic_message(&*payload),
+        },
     }
 }
 
@@ -507,10 +603,11 @@ mod tests {
     use super::*;
 
     type Msg = u64;
+    type P = ProcHandle<Msg>;
 
     #[test]
     fn single_proc_runs_locally() {
-        let out = Cluster::run(ClusterConfig::new(1), |p: &mut ProcHandle<Msg>| {
+        let out = Cluster::run_async(ClusterConfig::new(1), async |p: &mut P| {
             p.work(1000);
             p.now().cycles()
         })
@@ -528,13 +625,13 @@ mod tests {
             send_overhead_cycles: 10,
             recv_overhead_cycles: 20,
         });
-        let out = Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
+        let out = Cluster::run_async(cfg, async |p: &mut P| {
             if p.id() == 0 {
                 p.work(50);
                 p.send(1, 7, 8);
                 0
             } else {
-                let (at, src, msg) = p.recv();
+                let (at, src, msg) = p.recv_async().await;
                 assert_eq!(src, 0);
                 assert_eq!(msg, 7);
                 // Sent at 50 + 10 overhead = 60; +100 latency +8 bytes = 168.
@@ -549,20 +646,21 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected() {
-        let err = Cluster::run(ClusterConfig::new(2), |p: &mut ProcHandle<Msg>| {
-            // Both wait forever.
-            p.recv();
+        // Procs 0 and 2 wait forever; the drainer (1) is not reported.
+        let err = Cluster::run_async(ClusterConfig::new(3), async |p: &mut P| {
+            while p.id() == 1 && p.drain_recv_async().await.is_some() {}
+            if p.id() != 1 {
+                p.recv_async().await;
+            }
         })
         .unwrap_err();
-        match err {
-            SimError::Deadlock { blocked } => assert_eq!(blocked, vec![0, 1]),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        let blocked = vec![0, 2];
+        assert_eq!(err, SimError::Deadlock { blocked });
     }
 
     #[test]
     fn message_to_finished_proc_is_reported() {
-        let err = Cluster::run(ClusterConfig::new(2), |p: &mut ProcHandle<Msg>| {
+        let err = Cluster::run_async(ClusterConfig::new(2), async |p: &mut P| {
             // Proc 1 returns without receiving; proc 0's message can only
             // be dispatched after both have finished.
             if p.id() == 0 {
@@ -575,13 +673,13 @@ mod tests {
 
     #[test]
     fn drain_recv_quiesces_when_everyone_drains() {
-        let out = Cluster::run(ClusterConfig::new(3), |p: &mut ProcHandle<Msg>| {
+        let out = Cluster::run_async(ClusterConfig::new(3), async |p: &mut P| {
             if p.id() == 0 {
                 p.send(1, 1, 4);
                 p.send(2, 2, 4);
             }
             let mut seen = 0;
-            while let Some((_, _, m)) = p.drain_recv() {
+            while let Some((_, _, m)) = p.drain_recv_async().await {
                 seen += m;
             }
             seen
@@ -592,11 +690,11 @@ mod tests {
 
     #[test]
     fn app_panic_is_reported() {
-        let err = Cluster::run(ClusterConfig::new(2), |p: &mut ProcHandle<Msg>| {
+        let err = Cluster::run_async(ClusterConfig::new(2), async |p: &mut P| {
             if p.id() == 1 {
                 panic!("boom");
             }
-            p.recv();
+            p.recv_async().await;
         })
         .unwrap_err();
         match err {
@@ -613,13 +711,13 @@ mod tests {
         // Three senders fire at identical virtual times; the receiver's
         // observed order must be identical run after run.
         let run = || {
-            let out = Cluster::run(
+            let out = Cluster::run_async(
                 ClusterConfig::new(4).net(NetModel::ideal()),
-                |p: &mut ProcHandle<Msg>| {
+                async |p: &mut P| {
                     if p.id() == 0 {
                         let mut order = Vec::new();
                         for _ in 0..3 {
-                            let (_, src, _) = p.recv();
+                            let (_, src, _) = p.recv_async().await;
                             order.push(src);
                         }
                         order
@@ -642,7 +740,7 @@ mod tests {
 
     #[test]
     fn finish_time_is_max_over_procs() {
-        let out = Cluster::run(ClusterConfig::new(3), |p: &mut ProcHandle<Msg>| {
+        let out = Cluster::run_async(ClusterConfig::new(3), async |p: &mut P| {
             p.work(100 * (p.id() as u64 + 1));
         })
         .unwrap();
@@ -651,7 +749,7 @@ mod tests {
 
     #[test]
     fn self_send_is_rejected() {
-        let err = Cluster::run(ClusterConfig::new(1), |p: &mut ProcHandle<Msg>| {
+        let err = Cluster::run_async(ClusterConfig::new(1), async |p: &mut P| {
             p.send(0, 1, 4);
         })
         .unwrap_err();
@@ -665,17 +763,17 @@ mod tests {
 
     #[test]
     fn protocol_violation_surfaces_typed_error() {
-        let err = Cluster::run(ClusterConfig::new(3), |p: &mut ProcHandle<Msg>| {
+        let err = Cluster::run_async(ClusterConfig::new(3), async |p: &mut P| {
             match p.id() {
                 0 => p.protocol_violation("acquire for lock 9 routed to non-home".into()),
                 1 => {
                     // Blocked in recv when the violation fires: must be
                     // woken, not deadlocked.
-                    p.recv();
+                    p.recv_async().await;
                 }
                 _ => {
                     // Draining when the violation fires.
-                    while p.drain_recv().is_some() {}
+                    while p.drain_recv_async().await.is_some() {}
                 }
             }
         })
@@ -690,21 +788,37 @@ mod tests {
     }
 
     #[test]
+    fn blocking_recv_under_run_async_fails_instead_of_hanging() {
+        let err = Cluster::run_async(ClusterConfig::new(2), async |p: &mut P| {
+            if p.id() == 0 {
+                p.send(1, 7, 8);
+            } else {
+                p.recv();
+            }
+        })
+        .unwrap_err();
+        match err {
+            SimError::ProcPanicked { proc: 1, message } => {
+                assert!(message.contains("await recv_async"), "message: {message}");
+            }
+            other => panic!("expected panic report, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn panic_with_others_blocked_and_draining_does_not_deadlock() {
         // Satellite coverage for the poison path: the panicking processor's
         // id and message must come through while peers sit in recv /
         // drain_recv, and the run must terminate (no hang).
-        let err = Cluster::run(ClusterConfig::new(4), |p: &mut ProcHandle<Msg>| {
-            match p.id() {
-                2 => {
-                    p.work(10);
-                    panic!("detector state corrupt on proc {}", p.id());
-                }
-                0 => {
-                    p.recv();
-                }
-                _ => while p.drain_recv().is_some() {},
+        let err = Cluster::run_async(ClusterConfig::new(4), async |p: &mut P| match p.id() {
+            2 => {
+                p.work(10);
+                panic!("detector state corrupt on proc {}", p.id());
             }
+            0 => {
+                p.recv_async().await;
+            }
+            _ => while p.drain_recv_async().await.is_some() {},
         })
         .unwrap_err();
         match err {
@@ -723,7 +837,7 @@ mod tests {
     fn first_poison_wins_when_multiple_procs_panic() {
         // Whichever panic poisons first is reported; the second panic must
         // not hang or overwrite it with nonsense. We only assert the shape.
-        let err = Cluster::run(ClusterConfig::new(2), |p: &mut ProcHandle<Msg>| {
+        let err = Cluster::run_async(ClusterConfig::new(2), async |p: &mut P| {
             panic!("boom {}", p.id());
         })
         .unwrap_err();
@@ -743,17 +857,17 @@ mod tests {
     fn faults_disabled_is_bit_for_bit_identical() {
         let run = |faults: crate::fault::FaultPlan| {
             let cfg = ClusterConfig::new(2).faults(faults);
-            Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
+            Cluster::run_async(cfg, async |p: &mut P| {
                 if p.id() == 0 {
                     for i in 0..10 {
                         p.send(1, i, 8);
-                        let (_, _, echo) = p.recv();
+                        let (_, _, echo) = p.recv_async().await;
                         assert_eq!(echo, i);
                     }
                     p.now().cycles()
                 } else {
                     for _ in 0..10 {
-                        let (_, src, m) = p.recv();
+                        let (_, src, m) = p.recv_async().await;
                         p.send(src, m, 8);
                     }
                     p.now().cycles()
@@ -774,7 +888,7 @@ mod tests {
         let run = || {
             let faults = crate::fault::FaultPlan::chaos(11, 150_000);
             let cfg = ClusterConfig::new(2).faults(faults);
-            let out = Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
+            let out = Cluster::run_async(cfg, async |p: &mut P| {
                 if p.id() == 0 {
                     for i in 0..200 {
                         p.send(1, i, 8);
@@ -782,7 +896,7 @@ mod tests {
                     0
                 } else {
                     let mut sum = 0;
-                    while let Some((_, _, m)) = p.drain_recv() {
+                    while let Some((_, _, m)) = p.drain_recv_async().await {
                         sum += m;
                     }
                     sum
@@ -803,14 +917,14 @@ mod tests {
     fn drops_and_duplicates_change_delivery_counts() {
         let count = |faults: crate::fault::FaultPlan| {
             let cfg = ClusterConfig::new(2).faults(faults);
-            let out = Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
+            let out = Cluster::run_async(cfg, async |p: &mut P| {
                 if p.id() == 0 {
                     for i in 0..500 {
                         p.send(1, i, 8);
                     }
                 }
                 let mut n = 0u64;
-                while p.drain_recv().is_some() {
+                while p.drain_recv_async().await.is_some() {
                     n += 1;
                 }
                 n
@@ -832,7 +946,7 @@ mod tests {
     fn delayed_messages_arrive_late_but_arrive() {
         let faults = crate::fault::FaultPlan::seeded(17).delay_ppm(300_000);
         let cfg = ClusterConfig::new(2).net(NetModel::ideal()).faults(faults);
-        let out = Cluster::run(cfg, |p: &mut ProcHandle<Msg>| {
+        let out = Cluster::run_async(cfg, async |p: &mut P| {
             if p.id() == 0 {
                 for i in 0..100 {
                     p.send(1, i, 8);
@@ -840,7 +954,7 @@ mod tests {
                 0
             } else {
                 let mut got: Vec<u64> = Vec::new();
-                while let Some((_, _, m)) = p.drain_recv() {
+                while let Some((_, _, m)) = p.drain_recv_async().await {
                     got.push(m);
                 }
                 got.sort_unstable();

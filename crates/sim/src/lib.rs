@@ -7,29 +7,31 @@
 //!
 //! # Determinism
 //!
-//! Each simulated processor runs on its own OS thread, but the scheduler
-//! delivers a pending message only when *every* processor thread is blocked
-//! (waiting to receive) or finished, and it always delivers the globally
-//! minimal event under the total order `(delivery time, source, per-source
-//! sequence number)`. A woken processor advances its clock to the delivery
-//! time before it can send again, so deliveries are nondecreasing in virtual
-//! time and the entire execution — every clock value, counter, and message —
-//! is a pure function of the program being simulated.
+//! Every simulated processor is a future, and [`Cluster::run_async`] polls
+//! them all on the calling thread. The scheduler delivers a pending
+//! message only when *every* processor is parked (awaiting a receive) or
+//! finished, and it always delivers the globally minimal event under the
+//! total order `(delivery time, source, per-source sequence number)`. A
+//! woken processor advances its clock to the delivery time before it can
+//! send again, so deliveries are nondecreasing in virtual time and the
+//! entire execution — every clock value, counter, and message — is a pure
+//! function of the program being simulated. The threaded [`Cluster::run`]
+//! (a thread per processor) drives the same scheduler to the same result.
 //!
 //! # Examples
 //!
 //! ```
-//! use midway_sim::{Cluster, ClusterConfig, NetModel};
+//! use midway_sim::{Cluster, ClusterConfig, NetModel, ProcHandle};
 //!
 //! // Two processors play ping-pong once.
 //! let cfg = ClusterConfig::new(2).net(NetModel::ideal());
-//! let outcome = Cluster::run(cfg, |p| {
+//! let outcome = Cluster::run_async(cfg, async |p: &mut ProcHandle<&str>| {
 //!     if p.id() == 0 {
 //!         p.send(1, "ping", 4);
-//!         let (_t, _src, msg) = p.recv();
+//!         let (_t, _src, msg) = p.recv_async().await;
 //!         assert_eq!(msg, "pong");
 //!     } else {
-//!         let (_t, _src, msg) = p.recv();
+//!         let (_t, _src, msg) = p.recv_async().await;
 //!         assert_eq!(msg, "ping");
 //!         p.send(0, "pong", 4);
 //!     }

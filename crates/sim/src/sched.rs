@@ -1,6 +1,6 @@
 //! The conservative virtual-time scheduler.
 //!
-//! Invariant: a pending event is delivered only when no processor thread is
+//! Invariant: a pending event is delivered only when no processor is
 //! `Running`, and the event chosen is the global minimum under
 //! `(delivery time, src, seq)`. Because a woken processor first advances its
 //! clock to the delivery time, every event it subsequently posts is later
@@ -13,7 +13,10 @@
 //! map, O(1) each way), so deadlock detection is an `is_empty` check, the
 //! deadlock report is built lazily from the index only after a deadlock has
 //! been detected, and quiescence walks exactly the drainers instead of
-//! scanning every processor's state. [`SchedStats`] counts what the
+//! scanning every processor's state. That decision is
+//! [`SchedInner::dispatch`], written once and shared by both drivers: the
+//! single-thread poll loop and the thread-per-processor condvar wrapper.
+//! [`SchedStats`] counts what the
 //! scheduler did, purely for host-side perf attribution — none of it feeds
 //! virtual time.
 
@@ -30,7 +33,9 @@ use crate::time::VirtualTime;
 pub struct SchedStats {
     /// Events delivered to destination slots.
     pub delivered: u64,
-    /// Scheduler rendezvous: one per delivered event.
+    /// Scheduler dispatches: one per delivered event — one future poll
+    /// under the single-thread driver, one condvar handoff under the
+    /// threaded one.
     pub dispatches: u64,
     /// Every pop from the pending-event heap. This field and `far_pops`
     /// remain only because hostbench's `sim.far_pop_frac` reads them.
@@ -43,14 +48,14 @@ pub struct SchedStats {
 /// Lifecycle state of a simulated processor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ProcState {
-    /// The processor's thread is executing (compute or sends).
+    /// The processor is executing (compute or sends).
     Running,
     /// Blocked in `recv`: it must receive a message to make progress.
     Blocked,
     /// Blocked in `drain_recv`: it accepts messages but may also be released
     /// when the whole cluster quiesces.
     Draining,
-    /// The processor's thread has finished.
+    /// The processor has finished.
     Done,
 }
 
@@ -110,19 +115,9 @@ pub(crate) enum Slot<M> {
     Quiesce,
 }
 
-impl<M> Slot<M> {
-    /// Takes the delivery out of the slot, leaving it `Empty`; any other
-    /// slot state is left untouched.
-    fn take_msg(&mut self) -> Option<(VirtualTime, usize, M)> {
-        match std::mem::replace(self, Slot::Empty) {
-            Slot::Msg(at, src, msg) => Some((at, src, msg)),
-            other => {
-                *self = other;
-                None
-            }
-        }
-    }
-}
+/// What a receive returns: a delivery `(time, src, msg)`, `None` on
+/// quiescence, or the poison that aborted the run.
+pub(crate) type Received<M> = Result<Option<(VirtualTime, usize, M)>, Poison>;
 
 /// Why the simulation was aborted.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,12 +138,12 @@ pub(crate) enum Poison {
 }
 
 pub(crate) struct SchedInner<M> {
-    pub procs: Vec<ProcState>,
-    pub running: usize,
-    pub queue: BinaryHeap<Reverse<Event<M>>>,
-    pub slots: Vec<Slot<M>>,
-    pub poison: Option<Poison>,
-    pub delivered: u64,
+    procs: Vec<ProcState>,
+    running: usize,
+    queue: BinaryHeap<Reverse<Event<M>>>,
+    slots: Vec<Slot<M>>,
+    poison: Option<Poison>,
+    delivered: u64,
     /// Events popped from `queue`.
     pops: u64,
     /// Processors currently in [`ProcState::Blocked`].
@@ -157,35 +152,138 @@ pub(crate) struct SchedInner<M> {
     draining: ProcSet,
 }
 
-/// The scheduler: one shared state mutex plus **one condvar per
-/// processor**. Exactly one thread ever waits on `cvs[i]` — processor
-/// `i`'s own — so delivering an event wakes only its destination
-/// (`notify_one` on that slot) instead of storming every blocked thread
-/// through a global condvar. On a host with fewer cores than simulated
-/// processors the global-notify design made every delivery pay `procs`
-/// wakeups and `procs` mutex reacquisitions; the per-processor slots cut
-/// that to one.
+/// What one [`SchedInner::dispatch`] decided.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Next {
+    /// The minimal event is in this processor's slot and it is running.
+    Deliver(usize),
+    /// The cluster quiesced: these drainers hold [`Slot::Quiesce`] and are
+    /// running again (empty once every processor has finished).
+    Release(Vec<usize>),
+    /// The run is poisoned (deadlock, message to a finished processor, or
+    /// an earlier abort).
+    Stop,
+}
+
+impl<M> SchedInner<M> {
+    /// Parks running processor `me` in `recv` (or `drain_recv`).
+    pub(crate) fn park(&mut self, me: usize, draining: bool) {
+        debug_assert_eq!(self.procs[me], ProcState::Running);
+        self.running -= 1;
+        if draining {
+            self.procs[me] = ProcState::Draining;
+            self.draining.insert(me);
+        } else {
+            self.procs[me] = ProcState::Blocked;
+            self.blocked.insert(me);
+        }
+    }
+
+    /// What `me`'s pending receive returns, once the dispatch has filled
+    /// its slot (or the run is poisoned).
+    pub(crate) fn take(&mut self, me: usize) -> Option<Received<M>> {
+        if let Some(p) = &self.poison {
+            return Some(Err(p.clone()));
+        }
+        match std::mem::replace(&mut self.slots[me], Slot::Empty) {
+            Slot::Msg(at, src, msg) => Some(Ok(Some((at, src, msg)))),
+            Slot::Quiesce => Some(Ok(None)),
+            Slot::Empty => None,
+        }
+    }
+
+    /// Whether `me` is parked in a receive.
+    pub(crate) fn parked(&self, me: usize) -> bool {
+        matches!(self.procs[me], ProcState::Blocked | ProcState::Draining)
+    }
+
+    /// Marks running processor `me` finished.
+    fn finish(&mut self, me: usize) {
+        debug_assert_eq!(self.procs[me], ProcState::Running);
+        self.running -= 1;
+        self.procs[me] = ProcState::Done;
+    }
+
+    /// Records a fatal condition; the first one wins.
+    fn poison(&mut self, p: Poison) {
+        self.poison.get_or_insert(p);
+    }
+
+    /// Delivers the minimal pending event, or detects deadlock or
+    /// quiescence. Must be called with `running == 0`: this is the one
+    /// place either driver decides what runs next.
+    ///
+    /// The deadlock report (which allocates and sorts) is built from the
+    /// blocked index only after the deadlock has been detected.
+    pub(crate) fn dispatch(&mut self) -> Next {
+        debug_assert_eq!(self.running, 0);
+        if self.poison.is_some() {
+            return Next::Stop;
+        }
+        let Some(Reverse(ev)) = self.queue.pop() else {
+            if !self.blocked.is_empty() {
+                let blocked = self.blocked.sorted();
+                self.poison(Poison::Deadlock { blocked });
+                return Next::Stop;
+            }
+            // Everyone is Draining or Done and nothing is in flight:
+            // release the drainers.
+            let drainers = self.draining.sorted();
+            for &p in &drainers {
+                self.draining.remove(p);
+                self.slots[p] = Slot::Quiesce;
+                self.procs[p] = ProcState::Running;
+            }
+            self.running = drainers.len();
+            return Next::Release(drainers);
+        };
+        self.pops += 1;
+        let dst = ev.dst;
+        match self.procs[dst] {
+            ProcState::Blocked => self.blocked.remove(dst),
+            ProcState::Draining => self.draining.remove(dst),
+            ProcState::Done => {
+                let src = ev.src;
+                self.poison(Poison::MessageToFinished { src, dst });
+                return Next::Stop;
+            }
+            // `running == 0` rules this out.
+            ProcState::Running => unreachable!("running proc while dispatching"),
+        }
+        self.slots[dst] = Slot::Msg(ev.deliver_at, ev.src, ev.msg);
+        self.delivered += 1;
+        self.procs[dst] = ProcState::Running;
+        self.running = 1;
+        Next::Deliver(dst)
+    }
+}
+
+/// The scheduler: the [`SchedInner`] core behind one mutex. The threaded
+/// driver adds **one condvar per processor**, waited on only by that
+/// processor's thread, so a delivery wakes only its destination; under
+/// the single-thread driver `cvs` is empty and nothing waits.
 pub(crate) struct Scheduler<M> {
-    pub inner: Mutex<SchedInner<M>>,
+    inner: Mutex<SchedInner<M>>,
     cvs: Vec<Condvar>,
 }
 
 impl<M> Scheduler<M> {
-    /// Locks the shared state. An application panic unwinds through
-    /// `catch_unwind` without holding this mutex (the guard is released
-    /// before the closure runs), so std's poison flag carries no
-    /// information here — application failures are reported through
-    /// [`Poison`] instead, and a poisoned guard is simply recovered.
-    fn lock(&self) -> MutexGuard<'_, SchedInner<M>> {
+    /// Locks the shared state; the single-thread driver calls the
+    /// [`SchedInner`] steps through this. Application code never runs
+    /// under the guard — its failures are reported through [`Poison`] —
+    /// so std's poison flag carries no information and is ignored.
+    pub fn lock(&self) -> MutexGuard<'_, SchedInner<M>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Snapshot of the abort condition, if any (for the driver thread).
+    /// Snapshot of the abort condition, if any (for the driver).
     pub fn poison(&self) -> Option<Poison> {
         self.lock().poison.clone()
     }
 
-    pub fn new(procs: usize) -> Scheduler<M> {
+    /// A scheduler for `procs` processors, with per-processor condvars
+    /// when `threaded`.
+    pub fn new(procs: usize, threaded: bool) -> Scheduler<M> {
         Scheduler {
             inner: Mutex::new(SchedInner {
                 procs: vec![ProcState::Running; procs],
@@ -198,52 +296,47 @@ impl<M> Scheduler<M> {
                 blocked: ProcSet::new(procs),
                 draining: ProcSet::new(procs),
             }),
-            cvs: (0..procs).map(|_| Condvar::new()).collect(),
+            cvs: if threaded {
+                (0..procs).map(|_| Condvar::new()).collect()
+            } else {
+                Vec::new()
+            },
         }
     }
 
-    /// Queues an in-flight message. Called only by a `Running` thread, so no
-    /// dispatch can be due yet.
-    pub fn post(&self, ev: Event<M>) {
-        let mut inner = self.lock();
-        inner.queue.push(Reverse(ev));
+    /// Whether processors run on their own threads (so `recv` may block).
+    pub fn threaded(&self) -> bool {
+        !self.cvs.is_empty()
     }
 
-    /// Blocks processor `me` until a message arrives (or, when `draining`,
-    /// until the cluster quiesces). Returns `Ok(None)` only on quiescence.
-    pub fn block_recv(
-        &self,
-        me: usize,
-        draining: bool,
-    ) -> Result<Option<(VirtualTime, usize, M)>, Poison> {
+    /// Queues an in-flight message. Called only by a `Running` processor,
+    /// so no dispatch can be due yet.
+    pub fn post(&self, ev: Event<M>) {
+        self.lock().queue.push(Reverse(ev));
+    }
+
+    /// Blocks processor `me`'s thread until a message arrives (or, when
+    /// `draining`, until the cluster quiesces). Returns `Ok(None)` only on
+    /// quiescence.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the single-thread driver, where waiting would hang
+    /// the only thread: processors there must await `recv_async`.
+    pub fn block_recv(&self, me: usize, draining: bool) -> Received<M> {
+        assert!(
+            self.threaded(),
+            "blocking recv under the single-thread driver: await recv_async instead"
+        );
         let mut inner = self.lock();
-        debug_assert_eq!(inner.procs[me], ProcState::Running);
         if let Some(p) = &inner.poison {
             return Err(p.clone());
         }
-        inner.running -= 1;
-        if draining {
-            inner.procs[me] = ProcState::Draining;
-            inner.draining.insert(me);
-        } else {
-            inner.procs[me] = ProcState::Blocked;
-            inner.blocked.insert(me);
-        }
-        if inner.running == 0 {
-            self.dispatch(&mut inner);
-        }
+        inner.park(me, draining);
+        self.settle(&mut inner);
         loop {
-            if let Some(p) = &inner.poison {
-                return Err(p.clone());
-            }
-            if let Slot::Quiesce = inner.slots[me] {
-                debug_assert!(draining);
-                inner.slots[me] = Slot::Empty;
-                return Ok(None);
-            }
-            if let Some(m) = inner.slots[me].take_msg() {
-                debug_assert_eq!(inner.procs[me], ProcState::Running);
-                return Ok(Some(m));
+            if let Some(got) = inner.take(me) {
+                return got;
             }
             // Waiting on this processor's own slot: only a delivery
             // addressed here (or poison/quiesce) wakes this thread.
@@ -253,50 +346,20 @@ impl<M> Scheduler<M> {
         }
     }
 
-    /// Marks `me` finished. Valid from `Running` (closure returned without
-    /// draining) or `Draining` (released by quiescence).
+    /// Marks running processor `me` finished.
     pub fn finish(&self, me: usize) {
         let mut inner = self.lock();
-        match inner.procs[me] {
-            ProcState::Running => {
-                inner.running -= 1;
-                inner.procs[me] = ProcState::Done;
-                if inner.running == 0 {
-                    self.dispatch(&mut inner);
-                }
-            }
-            ProcState::Draining => {
-                // Already excluded from `running` by `block_recv`. The
-                // quiescence decision does not need re-evaluation: it fires
-                // only once all drainers are released together.
-                inner.draining.remove(me);
-                inner.procs[me] = ProcState::Done;
-            }
-            s => panic!("finish() from invalid state {s:?}"),
-        }
+        inner.finish(me);
+        self.settle(&mut inner);
     }
 
-    /// Records a fatal condition and wakes every waiter.
+    /// Records a fatal condition (first poison wins) and wakes every
+    /// waiter — each processor's condvar is notified exactly once.
     pub fn set_poison(&self, p: Poison) {
-        let mut inner = self.lock();
-        self.poison_locked(&mut inner, p);
-    }
-
-    /// Marks `me` dead after a panic and poisons the cluster.
-    pub fn abandon(&self, me: usize, message: String) {
-        let mut inner = self.lock();
-        match inner.procs[me] {
-            ProcState::Running => inner.running -= 1,
-            ProcState::Blocked => inner.blocked.remove(me),
-            ProcState::Draining => inner.draining.remove(me),
-            ProcState::Done => {}
+        self.lock().poison(p);
+        for cv in &self.cvs {
+            cv.notify_one();
         }
-        inner.procs[me] = ProcState::Done;
-        self.poison_locked(&mut inner, Poison::Panic { proc: me, message });
-    }
-
-    pub fn delivered(&self) -> u64 {
-        self.lock().delivered
     }
 
     /// Snapshot of the host-side attribution counters.
@@ -310,71 +373,19 @@ impl<M> Scheduler<M> {
         }
     }
 
-    /// Records a fatal condition (first poison wins) and wakes every
-    /// waiter — each processor's condvar is notified exactly once, not
-    /// `procs` redundant broadcasts.
-    fn poison_locked(&self, inner: &mut SchedInner<M>, p: Poison) {
-        if inner.poison.is_none() {
-            inner.poison = Some(p);
-        }
-        for cv in &self.cvs {
-            cv.notify_one();
-        }
-    }
-
-    /// Delivers the minimal pending event, or detects deadlock or
-    /// quiescence. Must be called with `running == 0`.
-    ///
-    /// The hot path — an event delivered to a blocked destination — wakes
-    /// exactly one thread. The deadlock report (which allocates and sorts)
-    /// is built from the blocked index only in the empty-queue arm, after
-    /// the deadlock has actually been detected.
-    fn dispatch(&self, inner: &mut SchedInner<M>) {
-        debug_assert_eq!(inner.running, 0);
-        if inner.poison.is_some() {
-            for cv in &self.cvs {
-                cv.notify_one();
-            }
+    /// Threaded driver only: once no processor is running, dispatches and
+    /// wakes exactly the threads the decision concerns. The hot path — an
+    /// event delivered to a blocked destination — wakes one thread; if
+    /// that is the caller itself, it re-checks its slot before sleeping.
+    fn settle(&self, inner: &mut SchedInner<M>) {
+        if !self.threaded() || inner.running > 0 {
             return;
         }
-        let Some(Reverse(ev)) = inner.queue.pop() else {
-            if !inner.blocked.is_empty() {
-                // Stuck: build the report lazily, off the index.
-                let blocked = inner.blocked.sorted();
-                self.poison_locked(inner, Poison::Deadlock { blocked });
-            } else {
-                // Everyone is Draining or Done and nothing is in flight:
-                // release the drainers — and wake only them.
-                for i in 0..inner.draining.members.len() {
-                    let p = inner.draining.members[i];
-                    inner.slots[p] = Slot::Quiesce;
-                    self.cvs[p].notify_one();
-                }
-            }
-            return;
-        };
-        inner.pops += 1;
-        let dst = ev.dst;
-        match inner.procs[dst] {
-            ProcState::Blocked => inner.blocked.remove(dst),
-            ProcState::Draining => inner.draining.remove(dst),
-            ProcState::Done => {
-                let src = ev.src;
-                self.poison_locked(inner, Poison::MessageToFinished { src, dst });
-                return;
-            }
-            // `running == 0` rules this out.
-            ProcState::Running => unreachable!("running proc while dispatching"),
+        match inner.dispatch() {
+            Next::Deliver(dst) => self.cvs[dst].notify_one(),
+            Next::Release(drainers) => drainers.iter().for_each(|&p| self.cvs[p].notify_one()),
+            Next::Stop => self.cvs.iter().for_each(Condvar::notify_one),
         }
-        inner.slots[dst] = Slot::Msg(ev.deliver_at, ev.src, ev.msg);
-        inner.delivered += 1;
-        inner.procs[dst] = ProcState::Running;
-        inner.running = 1;
-        // Targeted wakeup: only the destination has anything to do. If the
-        // destination is the caller itself it has not started waiting yet;
-        // it re-checks its slot before sleeping, so the notify is not
-        // needed there.
-        self.cvs[dst].notify_one();
     }
 }
 
@@ -393,12 +404,25 @@ mod tests {
         }
     }
 
+    /// Parks `dst` `n` times, the others done; returns each delivery.
+    fn receive_all(sched: &Scheduler<u32>, dst: usize, n: usize) -> Vec<(u64, usize, u32)> {
+        (0..n)
+            .map(|_| {
+                let mut inner = sched.lock();
+                inner.park(dst, false);
+                assert_eq!(inner.dispatch(), Next::Deliver(dst));
+                let (at, src, msg) = inner.take(dst).unwrap().unwrap().unwrap();
+                (at.cycles(), src, msg)
+            })
+            .collect()
+    }
+
     /// Deadlock through the per-proc wakeup path: the report lists only
     /// the processors stuck in `recv`, not the drainers, and *every*
     /// waiter — blocked and draining alike — is woken with the poison.
     #[test]
     fn deadlock_wakes_blocked_and_draining_and_lists_only_blocked() {
-        let sched: Scheduler<u32> = Scheduler::new(3);
+        let sched: Scheduler<u32> = Scheduler::new(3, true);
         std::thread::scope(|s| {
             let blocked = s.spawn(|| sched.block_recv(0, false));
             let draining = s.spawn(|| sched.block_recv(1, true));
@@ -415,44 +439,40 @@ mod tests {
 
     /// The deadlock report is sorted ascending no matter the order the
     /// processors blocked in (the waiter index swap-removes, so its raw
-    /// order is arbitrary).
+    /// order is arbitrary), and it leaves the drainer out.
     #[test]
     fn deadlock_report_is_sorted() {
-        let sched: Scheduler<u32> = Scheduler::new(4);
-        std::thread::scope(|s| {
-            // Block in descending order so the raw index is reversed.
-            let w2 = s.spawn(|| sched.block_recv(2, false));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            let w0 = s.spawn(|| sched.block_recv(0, false));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            let w1 = s.spawn(|| sched.block_recv(1, false));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(3);
-            for w in [w0, w1, w2] {
-                assert_eq!(
-                    w.join().unwrap(),
-                    Err(Poison::Deadlock {
-                        blocked: vec![0, 1, 2]
-                    })
-                );
-            }
-        });
+        let sched: Scheduler<u32> = Scheduler::new(5, false);
+        for p in [2, 0, 1] {
+            sched.lock().park(p, false);
+        }
+        sched.lock().park(3, true);
+        sched.finish(4);
+        assert_eq!(sched.lock().dispatch(), Next::Stop);
+        let deadlock = Poison::Deadlock {
+            blocked: vec![0, 1, 2],
+        };
+        assert_eq!(sched.poison(), Some(deadlock.clone()));
+        assert_eq!(sched.lock().take(3), Some(Err(deadlock)));
     }
 
-    /// Quiescence through the per-proc wakeup path: when every processor
-    /// is draining or done and nothing is in flight, the drainers are
-    /// released with `Ok(None)`.
+    /// Quiescence: when every processor is draining or done and nothing
+    /// is in flight, every drainer is released with `Ok(None)` and runs
+    /// again; once they finish, the next dispatch releases nobody.
     #[test]
     fn quiesce_releases_all_drainers() {
-        let sched: Scheduler<u32> = Scheduler::new(3);
-        std::thread::scope(|s| {
-            let a = s.spawn(|| sched.block_recv(0, true));
-            let b = s.spawn(|| sched.block_recv(1, true));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(2);
-            assert_eq!(a.join().unwrap(), Ok(None));
-            assert_eq!(b.join().unwrap(), Ok(None));
-        });
+        let sched: Scheduler<u32> = Scheduler::new(4, false);
+        for p in [2, 0, 1] {
+            sched.lock().park(p, true);
+        }
+        sched.finish(3);
+        assert_eq!(sched.lock().dispatch(), Next::Release(vec![0, 1, 2]));
+        for p in 0..3 {
+            assert_eq!(sched.lock().take(p), Some(Ok(None)));
+            sched.finish(p);
+        }
+        assert_eq!(sched.lock().dispatch(), Next::Release(Vec::new()));
+        assert_eq!(sched.poison(), None);
     }
 
     /// A delivery wakes only its destination: the other blocked processor
@@ -460,7 +480,7 @@ mod tests {
     /// follows the `(time, src, seq)` queue order.
     #[test]
     fn delivery_targets_the_destination_slot() {
-        let sched: Scheduler<u32> = Scheduler::new(3);
+        let sched: Scheduler<u32> = Scheduler::new(3, true);
         sched.post(ev(2, 0, 100, 0, 7));
         sched.post(ev(2, 1, 200, 1, 8));
         std::thread::scope(|s| {
@@ -487,64 +507,44 @@ mod tests {
     /// dispatch, in `(src, seq)` order regardless of posting order.
     #[test]
     fn same_key_fields_break_ties_by_src_then_seq() {
-        let sched: Scheduler<u32> = Scheduler::new(4);
+        let sched: Scheduler<u32> = Scheduler::new(4, false);
         // The message carries the sequence number, to identify it.
         for (src, seq) in [(2, 0), (0, 5), (0, 3), (1, 1)] {
             sched.post(ev(src, 3, 100, seq, seq as u32));
         }
-        std::thread::scope(|s| {
-            let p3 = s.spawn(|| {
-                let mut got = Vec::new();
-                for _ in 0..4 {
-                    let (at, src, msg) = sched.block_recv(3, false).unwrap().unwrap();
-                    got.push((at.cycles(), src, msg));
-                }
-                sched.finish(3);
-                got
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            for p in 0..3 {
-                sched.finish(p);
-            }
-            let got = p3.join().unwrap();
-            assert_eq!(
-                got,
-                vec![(100, 0, 3), (100, 0, 5), (100, 1, 1), (100, 2, 0)]
-            );
-            let stats = sched.stats();
-            assert_eq!(stats.delivered, 4);
-            assert_eq!(stats.dispatches, 4, "one rendezvous per event");
-            assert_eq!((stats.near_pops, stats.far_pops), (4, 0));
-        });
+        for p in 0..3 {
+            sched.finish(p);
+        }
+        assert_eq!(
+            receive_all(&sched, 3, 4),
+            vec![(100, 0, 3), (100, 0, 5), (100, 1, 1), (100, 2, 0)]
+        );
+        let stats = sched.stats();
+        assert_eq!(stats.delivered, 4);
+        assert_eq!(stats.dispatches, 4, "one dispatch per event");
+        assert_eq!((stats.near_pops, stats.far_pops), (4, 0));
     }
 
     /// Same-instant events for one destination, a self-post among them,
-    /// are drained one rendezvous each, in `(time, src, seq)` order.
+    /// are drained one dispatch each, in `(time, src, seq)` order; a later
+    /// event to a finished processor is reported, not dropped.
     #[test]
     fn same_instant_events_drain_one_per_dispatch() {
-        let sched: Scheduler<u32> = Scheduler::new(3);
+        let sched: Scheduler<u32> = Scheduler::new(3, false);
         sched.post(ev(1, 2, 100, 0, 10));
         sched.post(ev(0, 2, 100, 1, 20));
         sched.post(ev(2, 2, 100, 2, 30)); // self-post: src == dst
-        std::thread::scope(|s| {
-            let p2 = s.spawn(|| {
-                let mut got = Vec::new();
-                for _ in 0..3 {
-                    let (at, src, msg) = sched.block_recv(2, false).unwrap().unwrap();
-                    got.push((at.cycles(), src, msg));
-                }
-                sched.finish(2);
-                got
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.finish(0);
-            sched.finish(1);
-            let got = p2.join().unwrap();
-            assert_eq!(got, vec![(100, 0, 20), (100, 1, 10), (100, 2, 30)]);
-            assert_eq!(sched.delivered(), 3);
-            let stats = sched.stats();
-            assert_eq!((stats.delivered, stats.dispatches), (3, 3));
-        });
+        sched.post(ev(2, 1, 200, 3, 40));
+        sched.finish(0);
+        sched.finish(1);
+        let got = receive_all(&sched, 2, 3);
+        assert_eq!(got, vec![(100, 0, 20), (100, 1, 10), (100, 2, 30)]);
+        let stats = sched.stats();
+        assert_eq!((stats.delivered, stats.dispatches), (3, 3));
+        sched.finish(2);
+        assert_eq!(sched.lock().dispatch(), Next::Stop);
+        let to_finished = Poison::MessageToFinished { src: 2, dst: 1 };
+        assert_eq!(sched.poison(), Some(to_finished));
     }
 
     /// Poison set while waiters sit on their per-proc condvars reaches
@@ -552,14 +552,17 @@ mod tests {
     /// global broadcast).
     #[test]
     fn poison_wakes_every_waiter_once() {
-        let sched: Scheduler<u32> = Scheduler::new(4);
+        let sched: Scheduler<u32> = Scheduler::new(4, true);
         std::thread::scope(|s| {
             let sched = &sched;
             let waiters: Vec<_> = (0..3)
                 .map(|me| s.spawn(move || sched.block_recv(me, me == 2)))
                 .collect();
             std::thread::sleep(std::time::Duration::from_millis(20));
-            sched.abandon(3, "unit-test poison".to_string());
+            sched.set_poison(Poison::Panic {
+                proc: 3,
+                message: "unit-test poison".to_string(),
+            });
             for w in waiters {
                 match w.join().unwrap() {
                     Err(Poison::Panic { proc: 3, message }) => {

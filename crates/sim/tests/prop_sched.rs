@@ -3,9 +3,44 @@
 //! These are property tests driven by the internal [`SplitMix64`]
 //! generator (the workspace builds offline, so no external property
 //! testing framework): each case is derived from a fixed seed, making
-//! failures exactly reproducible from the printed case number.
+//! failures exactly reproducible from the printed case number. Every
+//! program runs under both drivers, which must agree on everything.
 
-use midway_sim::{Cluster, ClusterConfig, NetModel, ProcHandle, SplitMix64, VirtualTime};
+use std::fmt::Debug;
+use std::future::Future;
+use std::pin::pin;
+use std::task::{Context, Poll, Waker};
+
+use midway_sim::{
+    Cluster, ClusterConfig, NetModel, ProcHandle, RunOutcome, SplitMix64, VirtualTime,
+};
+
+/// Polls `fut` once: under the threaded driver `recv_async` blocks.
+fn block_on<T>(fut: impl Future<Output = T>) -> T {
+    let Poll::Ready(v) = pin!(fut).poll(&mut Context::from_waker(Waker::noop())) else {
+        panic!("a threaded processor's future pended");
+    };
+    v
+}
+
+/// Runs `program` under both drivers, asserts they agree, and returns the
+/// single-thread outcome.
+fn both_drivers<M, R>(
+    cfg: ClusterConfig,
+    program: impl AsyncFn(&mut ProcHandle<M>) -> R + Sync,
+) -> RunOutcome<R>
+where
+    M: Send + Clone + 'static,
+    R: Send + PartialEq + Debug,
+{
+    let threaded = Cluster::run(cfg, |p| block_on(program(p))).expect("threaded run failed");
+    let single = Cluster::run_async(cfg, &program).expect("single-thread run failed");
+    assert_eq!(threaded.results, single.results);
+    assert_eq!(threaded.reports, single.reports);
+    assert_eq!(threaded.messages_delivered, single.messages_delivered);
+    assert_eq!(threaded.sched, single.sched);
+    single
+}
 
 /// Every sent message is delivered exactly once, at a time no earlier
 /// than its send time plus the wire cost, and per-receiver delivery
@@ -24,11 +59,10 @@ fn delivery_is_exact_and_monotonic() {
             send_overhead_cycles: 50,
             recv_overhead_cycles: 50,
         });
-        let work2 = work.clone();
-        let out = Cluster::run(cfg, move |p: &mut ProcHandle<(usize, u64)>| {
+        let out = both_drivers(cfg, async |p: &mut ProcHandle<(usize, u64)>| {
             let me = p.id();
             let n = p.procs();
-            p.work(work2[me % work2.len()]);
+            p.work(work[me % work.len()]);
             // Everyone sends `fanout` messages to the next processor.
             for _ in 0..fanout {
                 let sent_at = p.now();
@@ -37,12 +71,11 @@ fn delivery_is_exact_and_monotonic() {
             // And receives `fanout` messages from the previous one.
             let mut arrivals = Vec::new();
             for _ in 0..fanout {
-                let (at, src, (claimed_src, sent_at)) = p.recv();
+                let (at, src, (claimed_src, sent_at)) = p.recv_async().await;
                 arrivals.push((at, src, claimed_src, sent_at));
             }
             arrivals
-        })
-        .expect("simulation failed");
+        });
 
         let mut delivered = 0usize;
         for (pid, arrivals) in out.results.iter().enumerate() {
@@ -71,12 +104,10 @@ fn finish_time_is_max_and_stable() {
         let procs = 1 + rng.next_below(4) as usize;
         let work: Vec<u64> = (0..4).map(|_| 1 + rng.next_below(100_000)).collect();
         let run = || {
-            let work = work.clone();
-            Cluster::run(ClusterConfig::new(procs), move |p: &mut ProcHandle<u8>| {
+            both_drivers(ClusterConfig::new(procs), async |p: &mut ProcHandle<u8>| {
                 p.work(work[p.id() % work.len()]);
                 p.now()
             })
-            .expect("simulation failed")
         };
         let a = run();
         let max = a.results.iter().copied().max().expect("non-empty");

@@ -9,7 +9,7 @@
 //! updates, while RT-DSM's word-size cache lines track exactly what moved
 //! — the paper's headline argument rendered in ~60 lines.
 
-use midway_core::{BackendKind, Counters, Midway, MidwayConfig, Proc, SystemBuilder};
+use midway_core::{BackendKind, Counters, Midway, MidwayConfig, SystemBuilder};
 
 const CELLS: usize = 64;
 const ROUNDS: usize = 30;
@@ -24,14 +24,14 @@ fn main() {
         let done = b.barrier(vec![]);
         let spec = b.build();
 
-        let run = Midway::run(MidwayConfig::new(4, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(4, backend), &spec, async |p| {
             let procs = p.procs();
             let me = p.id();
             let mut sum = 0u64;
             for round in 0..ROUNDS {
                 // Update my cells.
                 for c in (me..CELLS).step_by(procs) {
-                    p.acquire(cell_locks[c]);
+                    p.acquire(cell_locks[c]).await;
                     let v = p.read(&table, c);
                     p.write(&table, c, v + c as u32);
                     p.release(cell_locks[c]);
@@ -39,12 +39,12 @@ fn main() {
                 // Read a neighbour's cells.
                 let neighbour = (me + 1 + round % (procs - 1)) % procs;
                 for c in (neighbour..CELLS).step_by(procs) {
-                    p.acquire_shared(cell_locks[c]);
+                    p.acquire_shared(cell_locks[c]).await;
                     sum += p.read(&table, c) as u64;
                     p.release_shared(cell_locks[c]);
                 }
             }
-            p.barrier(done);
+            p.barrier(done).await;
             sum
         })
         .expect("simulation failed");

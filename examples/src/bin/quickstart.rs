@@ -8,7 +8,7 @@
 //! systems, so you can see RT-DSM's dirtybit economy against VM-DSM's
 //! fault-and-diff machinery on the exact same program.
 
-use midway_core::{BackendKind, Counters, Midway, MidwayConfig, Proc, SystemBuilder};
+use midway_core::{BackendKind, Counters, Midway, MidwayConfig, SystemBuilder};
 
 fn main() {
     for backend in [BackendKind::Rt, BackendKind::Vm] {
@@ -22,11 +22,11 @@ fn main() {
         let spec = b.build();
 
         // 2. Run one closure per processor.
-        let run = Midway::run(MidwayConfig::new(4, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(4, backend), &spec, async |p| {
             for i in 0..25 {
                 // Entry consistency: acquire the lock bound to the data,
                 // and the data is fresh when the acquire returns.
-                p.acquire(lock);
+                p.acquire(lock).await;
                 let v = p.read(&counter, 0);
                 p.write(&counter, 0, v + 1);
                 p.release(lock);
@@ -36,8 +36,8 @@ fn main() {
                 p.write(&scratch, (p.id() * 16 + i as usize % 16) % 64, v);
                 p.work(10_000);
             }
-            p.barrier(done);
-            p.acquire(lock);
+            p.barrier(done).await;
+            p.acquire(lock).await;
             let v = p.read(&counter, 0);
             p.release(lock);
             v

@@ -9,7 +9,7 @@
 //! published to arrays bound to the phase barrier, so each barrier ships
 //! a handful of doubles no matter how large the rod is.
 
-use midway_core::{BackendKind, Midway, MidwayConfig, Proc, SystemBuilder};
+use midway_core::{BackendKind, Midway, MidwayConfig, SystemBuilder};
 
 const CELLS: usize = 4_096;
 const STEPS: usize = 40;
@@ -26,7 +26,7 @@ fn main() {
         let step_done = b.barrier_partitioned(vec![edges.full_range()], partitions);
         let spec = b.build();
 
-        let run = Midway::run(MidwayConfig::new(PROCS, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(PROCS, backend), &spec, async |p| {
             let me = p.id();
             let chunk = CELLS / PROCS;
             // Private stripe: hot in the middle of the rod.
@@ -45,7 +45,7 @@ fn main() {
                 .collect();
             p.write(&edges, me * 2, rod[0]);
             p.write(&edges, me * 2 + 1, rod[chunk - 1]);
-            p.barrier(step_done);
+            p.barrier(step_done).await;
 
             for _ in 0..STEPS {
                 let left = if me > 0 {
@@ -67,7 +67,7 @@ fn main() {
                 p.work(chunk as u64 * 12);
                 p.write(&edges, me * 2, rod[0]);
                 p.write(&edges, me * 2 + 1, rod[chunk - 1]);
-                p.barrier(step_done);
+                p.barrier(step_done).await;
             }
             // Position-weighted checksum: sensitive to *where* the heat
             // is, not just how much (heat is conserved by construction).

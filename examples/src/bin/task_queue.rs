@@ -10,7 +10,7 @@
 //! under VM-DSM a rebound lock ships its full bound data without diffing,
 //! while RT-DSM rescans dirtybits under the new binding.
 
-use midway_core::{BackendKind, Midway, MidwayConfig, Proc, SystemBuilder};
+use midway_core::{BackendKind, Midway, MidwayConfig, SystemBuilder};
 
 const ITEMS: usize = 12;
 const SLICE: usize = 32;
@@ -26,18 +26,18 @@ fn main() {
         let item_locks: Vec<_> = (0..ITEMS).map(|_| b.lock(vec![])).collect();
         let spec = b.build();
 
-        let run = Midway::run(MidwayConfig::new(4, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(4, backend), &spec, async |p| {
             if p.id() == 0 {
                 // Producer: fill each slice, rebind its lock, publish it.
                 for (item, item_lock) in item_locks.iter().enumerate() {
                     let range = item * SLICE..(item + 1) * SLICE;
-                    p.acquire(*item_lock);
+                    p.acquire(*item_lock).await;
                     p.rebind(*item_lock, vec![data.range(range.clone())]);
                     for i in range {
                         p.write(&data, i, i as u64 + 1);
                     }
                     p.release(*item_lock);
-                    p.acquire(qlock);
+                    p.acquire(qlock).await;
                     let published = p.read(&queue, 0);
                     p.write(&queue, 0, published + 1);
                     p.release(qlock);
@@ -46,7 +46,7 @@ fn main() {
             // Everyone (including the producer) works items to completion.
             let mut mine = 0u64;
             loop {
-                p.acquire(qlock);
+                p.acquire(qlock).await;
                 let published = p.read(&queue, 0);
                 let taken = p.read(&queue, 1);
                 let completed = p.read(&queue, 2);
@@ -59,20 +59,20 @@ fn main() {
                 p.release(qlock);
                 match item {
                     Some(item) => {
-                        p.acquire(item_locks[item]);
+                        p.acquire(item_locks[item]).await;
                         for i in item * SLICE..(item + 1) * SLICE {
                             let v = p.read(&data, i);
                             p.write(&data, i, v * v);
                         }
                         p.release(item_locks[item]);
-                        p.acquire(qlock);
+                        p.acquire(qlock).await;
                         let c = p.read(&queue, 2);
                         p.write(&queue, 2, c + 1);
                         p.release(qlock);
                         mine += 1;
                     }
                     None if completed == ITEMS as u64 => break,
-                    None => p.idle(15_000),
+                    None => p.idle(15_000).await,
                 }
             }
             mine

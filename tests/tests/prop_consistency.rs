@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use midway_core::{
-    BackendKind, Midway, MidwayConfig, NetModel, Proc, SplitMix64, SystemBuilder, SystemSpec,
+    BackendKind, Midway, MidwayConfig, NetModel, SplitMix64, SystemBuilder, SystemSpec,
 };
 
 const BACKENDS: [BackendKind; 5] = [
@@ -80,9 +80,9 @@ fn run_plan(plan: &Plan, backend: BackendKind) -> Vec<u64> {
     let run = Midway::run(
         MidwayConfig::new(plan.procs, backend).net(NetModel::atm_cluster()),
         &spec,
-        move |p: &mut Proc| {
+        async move |p| {
             for &(lock, slot, delta) in &plan.actions[p.id()] {
-                p.acquire(locks[lock]);
+                p.acquire(locks[lock]).await;
                 let idx = lock * slots + slot;
                 let v = p.read(&data, idx);
                 p.write(&data, idx, v + delta);
@@ -91,7 +91,7 @@ fn run_plan(plan: &Plan, backend: BackendKind) -> Vec<u64> {
             // Final global read under every lock.
             let mut finals = Vec::new();
             for (l, lk) in locks.iter().enumerate() {
-                p.acquire_shared(*lk);
+                p.acquire_shared(*lk).await;
                 for s in 0..slots {
                     finals.push(p.read(&data, l * slots + s));
                 }
@@ -143,9 +143,9 @@ fn runs_are_bit_for_bit_deterministic() {
             let run = Midway::run(
                 MidwayConfig::new(plan.procs, backend),
                 &spec,
-                move |p: &mut Proc| {
+                async move |p| {
                     for &(lock, slot, delta) in &plan.actions[p.id()] {
-                        p.acquire(locks[lock]);
+                        p.acquire(locks[lock]).await;
                         let idx = lock * slots + slot;
                         let v = p.read(&data, idx);
                         p.write(&data, idx, v + delta);
@@ -190,17 +190,17 @@ fn barriers_propagate_partitioned_writes() {
                 .collect();
             let bar = b.barrier_partitioned(vec![data.full_range()], partitions);
             let spec = b.build();
-            let run = Midway::run(MidwayConfig::new(procs, backend), &spec, |p: &mut Proc| {
+            let run = Midway::run(MidwayConfig::new(procs, backend), &spec, async |p| {
                 let me = p.id();
                 let mut rng = SplitMix64::new(seed ^ me as u64);
                 for round in 1..=rounds as u64 {
                     for i in me * per_proc..(me + 1) * per_proc {
                         p.write(&data, i, round * 1000 + i as u64 + rng.next_below(7));
                     }
-                    p.barrier(bar);
+                    p.barrier(bar).await;
                     // Everyone reads a full snapshot after each round.
                     let snap: Vec<u64> = (0..n).map(|i| p.read(&data, i)).collect();
-                    p.barrier(bar);
+                    p.barrier(bar).await;
                     let _ = snap;
                 }
                 (0..n).map(|i| p.read(&data, i)).collect::<Vec<u64>>()

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use midway_core::{BackendKind, Midway, MidwayConfig, NetModel, Proc, SystemBuilder, SystemSpec};
+use midway_core::{BackendKind, Midway, MidwayConfig, NetModel, SystemBuilder, SystemSpec};
 
 const DATA_BACKENDS: [BackendKind; 5] = [
     BackendKind::Rt,
@@ -32,14 +32,14 @@ fn lock_protected_counter_is_sequentially_consistent_on_all_backends() {
     for backend in DATA_BACKENDS {
         let (spec, lock, counter) = counter_spec();
         let rounds = 25u64;
-        let run = Midway::run(MidwayConfig::new(4, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(4, backend), &spec, async |p| {
             for _ in 0..rounds {
-                p.acquire(lock);
+                p.acquire(lock).await;
                 let v = p.read(&counter, 0);
                 p.write(&counter, 0, v + 1);
                 p.release(lock);
             }
-            p.acquire(lock);
+            p.acquire(lock).await;
             let v = p.read(&counter, 0);
             p.release(lock);
             v
@@ -64,12 +64,12 @@ fn barrier_makes_partitioned_writes_visible_everywhere() {
         let bar = b.barrier_partitioned(vec![data.full_range()], partitions);
         let spec = b.build();
 
-        let run = Midway::run(MidwayConfig::new(procs, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(procs, backend), &spec, async |p| {
             let me = p.id();
             for i in me * chunk..(me + 1) * chunk {
                 p.write(&data, i, (i * 10 + 1) as u64);
             }
-            p.barrier(bar);
+            p.barrier(bar).await;
             // Every processor must now see every write.
             (0..n).map(|i| p.read(&data, i)).collect::<Vec<u64>>()
         })
@@ -91,15 +91,15 @@ fn repeated_barriers_propagate_fresh_values() {
         let bar = b.barrier_partitioned(vec![data.full_range()], partitions);
         let spec = b.build();
 
-        let run = Midway::run(MidwayConfig::new(procs, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(procs, backend), &spec, async |p| {
             let me = p.id();
             let mut sums = Vec::new();
             for round in 1..=5u64 {
                 p.write(&data, me, round * (me as u64 + 1));
-                p.barrier(bar);
+                p.barrier(bar).await;
                 let sum: u64 = (0..procs).map(|i| p.read(&data, i)).sum();
                 sums.push(sum);
-                p.barrier(bar);
+                p.barrier(bar).await;
             }
             sums
         })
@@ -116,9 +116,9 @@ fn repeated_barriers_propagate_fresh_values() {
 fn shared_mode_readers_see_the_last_exclusive_write() {
     for backend in DATA_BACKENDS {
         let (spec, lock, counter) = counter_spec();
-        let run = Midway::run(MidwayConfig::new(4, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(4, backend), &spec, async |p| {
             if p.id() == 0 {
-                p.acquire(lock);
+                p.acquire(lock).await;
                 p.write(&counter, 0, 777);
                 p.write(&counter, 3, 888);
                 p.release(lock);
@@ -127,14 +127,14 @@ fn shared_mode_readers_see_the_last_exclusive_write() {
                 // Readers acquire non-exclusively; they must observe the
                 // writer's values once the writer has released.
                 loop {
-                    p.acquire_shared(lock);
+                    p.acquire_shared(lock).await;
                     let a = p.read(&counter, 0);
                     let b = p.read(&counter, 3);
                     p.release_shared(lock);
                     if a != 0 {
                         return (a, b);
                     }
-                    p.idle(10_000);
+                    p.idle(10_000).await;
                 }
             }
         })
@@ -155,9 +155,9 @@ fn rebinding_moves_the_protected_range() {
         let task = b.lock(vec![data.range(0..8)]);
         let spec = b.build();
 
-        let run = Midway::run(MidwayConfig::new(2, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(2, backend), &spec, async |p| {
             if p.id() == 0 {
-                p.acquire(task);
+                p.acquire(task).await;
                 for i in 0..8 {
                     p.write(&data, i, 100 + i as u64);
                 }
@@ -170,11 +170,11 @@ fn rebinding_moves_the_protected_range() {
                 0
             } else {
                 loop {
-                    p.acquire(task);
+                    p.acquire(task).await;
                     let probe = p.read(&data, 8);
                     if probe == 0 {
                         p.release(task);
-                        p.idle(10_000);
+                        p.idle(10_000).await;
                         continue;
                     }
                     // The rebound range must be consistent.
@@ -197,13 +197,13 @@ fn standalone_single_proc_runs_without_any_traffic() {
     let lock = b.lock(vec![data.full_range()]);
     let bar = b.barrier(vec![]);
     let spec = b.build();
-    let run = Midway::run(MidwayConfig::standalone(), &spec, |p: &mut Proc| {
-        p.acquire(lock);
+    let run = Midway::run(MidwayConfig::standalone(), &spec, async |p| {
+        p.acquire(lock).await;
         for i in 0..16 {
             p.write(&data, i, i as u64);
         }
         p.release(lock);
-        p.barrier(bar);
+        p.barrier(bar).await;
         (0..16).map(|i| p.read(&data, i)).sum::<u64>()
     })
     .unwrap();
@@ -223,19 +223,15 @@ fn uniprocessor_rt_pays_trapping_but_never_collects() {
     let data = b.shared_array::<u64>("data", 16, 1);
     let lock = b.lock(vec![data.full_range()]);
     let spec = b.build();
-    let run = Midway::run(
-        MidwayConfig::new(1, BackendKind::Rt),
-        &spec,
-        |p: &mut Proc| {
-            for round in 0..4 {
-                p.acquire(lock);
-                for i in 0..16 {
-                    p.write(&data, i, round + i as u64);
-                }
-                p.release(lock);
+    let run = Midway::run(MidwayConfig::new(1, BackendKind::Rt), &spec, async |p| {
+        for round in 0..4 {
+            p.acquire(lock).await;
+            for i in 0..16 {
+                p.write(&data, i, round + i as u64);
             }
-        },
-    )
+            p.release(lock);
+        }
+    })
     .unwrap();
     let c = &run.counters[0];
     assert_eq!(c.dirtybits_set, 64);
@@ -253,19 +249,15 @@ fn uniprocessor_vm_faults_once_per_page_and_never_diffs() {
     let data = b.shared_array::<u64>("data", 2048, 1); // 16 KB = 4 pages
     let lock = b.lock(vec![data.full_range()]);
     let spec = b.build();
-    let run = Midway::run(
-        MidwayConfig::new(1, BackendKind::Vm),
-        &spec,
-        |p: &mut Proc| {
-            for round in 0..3 {
-                p.acquire(lock);
-                for i in 0..2048 {
-                    p.write(&data, i, round + i as u64);
-                }
-                p.release(lock);
+    let run = Midway::run(MidwayConfig::new(1, BackendKind::Vm), &spec, async |p| {
+        for round in 0..3 {
+            p.acquire(lock).await;
+            for i in 0..2048 {
+                p.write(&data, i, round + i as u64);
             }
-        },
-    )
+            p.release(lock);
+        }
+    })
     .unwrap();
     let c = &run.counters[0];
     assert_eq!(c.write_faults, 4, "one fault per page, amortized after");
@@ -277,9 +269,9 @@ fn uniprocessor_vm_faults_once_per_page_and_never_diffs() {
 fn runs_are_deterministic() {
     let run_once = |backend| {
         let (spec, lock, counter) = counter_spec();
-        let run = Midway::run(MidwayConfig::new(4, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(4, backend), &spec, async |p| {
             for _ in 0..10 {
-                p.acquire(lock);
+                p.acquire(lock).await;
                 let v = p.read(&counter, 0);
                 p.write(&counter, 0, v + 1);
                 p.release(lock);
@@ -314,13 +306,13 @@ fn application_lock_cycle_is_reported_as_deadlock() {
     let err = Midway::run(
         MidwayConfig::new(2, BackendKind::Rt).net(NetModel::ideal()),
         &spec,
-        |p: &mut Proc| {
+        async |p| {
             if p.id() == 0 {
-                p.acquire(l0);
-                p.acquire(l1);
+                p.acquire(l0).await;
+                p.acquire(l1).await;
             } else {
-                p.acquire(l1);
-                p.acquire(l0);
+                p.acquire(l1).await;
+                p.acquire(l0).await;
             }
         },
     )
@@ -338,14 +330,14 @@ fn rt_transfers_only_modified_lines_while_blast_ships_everything() {
         let lock = b.lock(vec![data.full_range()]);
         let bar = b.barrier(vec![]);
         let spec = b.build();
-        let run = Midway::run(MidwayConfig::new(2, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(2, backend), &spec, async |p| {
             for round in 0..4 {
-                p.acquire(lock);
+                p.acquire(lock).await;
                 // Sparse: one line touched per round.
                 p.write(&data, round * 2 + p.id(), u64::MAX - round as u64);
                 p.release(lock);
                 // Force the lock to bounce between processors each round.
-                p.barrier(bar);
+                p.barrier(bar).await;
             }
         })
         .unwrap();

@@ -61,9 +61,9 @@ fn checked_run_has_identical_memory_and_clocks() {
     let x = b.shared_array::<u64>("x", 8, 1);
     let lock = b.lock(vec![x.full_range()]);
     let spec = b.build();
-    let prog = |p: &mut midway_core::Proc| {
+    let prog = async |p: &mut midway_core::Proc| {
         for i in 0..8 {
-            p.acquire(lock);
+            p.acquire(lock).await;
             let v = p.read(&x, i);
             p.write(&x, i, v + p.id() as u64 + 1);
             p.release(lock);
@@ -152,15 +152,11 @@ fn out_of_bounds_slice_write_is_a_typed_error() {
     let x = b.shared_array::<u64>("x", 4, 1);
     let lock = b.lock(vec![x.full_range()]);
     let spec = b.build();
-    let err = Midway::run(
-        MidwayConfig::new(2, BackendKind::Rt),
-        &spec,
-        |p: &mut midway_core::Proc| {
-            p.acquire(lock);
-            p.write_slice(&x, 2, &[1u64, 2, 3]); // elements 2..5 of 4
-            p.release(lock);
-        },
-    )
+    let err = Midway::run(MidwayConfig::new(2, BackendKind::Rt), &spec, async |p| {
+        p.acquire(lock).await;
+        p.write_slice(&x, 2, &[1u64, 2, 3]); // elements 2..5 of 4
+        p.release(lock);
+    })
     .unwrap_err();
     match err {
         midway_core::SimError::AppViolation { message, .. } => {

@@ -142,9 +142,9 @@ fn watchdog_aborts_a_stuck_run_with_dumps() {
 
     let real = RealConfig::tcp().watchdog(Some(Duration::from_millis(300)));
     let cfg = MidwayConfig::new(2, BackendKind::Rt);
-    let err = Midway::run_real(cfg, &real, &spec, |p| {
+    let err = Midway::run_real(cfg, &real, &spec, async |p| {
         if p.id() == 0 {
-            p.barrier(bar); // processor 1 never arrives
+            p.barrier(bar).await; // processor 1 never arrives
         }
     })
     .expect_err("a one-sided barrier must trip the watchdog");

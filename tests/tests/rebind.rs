@@ -3,7 +3,7 @@
 //! the binding a holder sees, the data a post-rebind transfer ships, and
 //! the recorded `Rebind` operation's round-trip through the trace format.
 
-use midway_core::{BackendKind, Midway, MidwayConfig, Proc, SystemBuilder, TraceOp};
+use midway_core::{BackendKind, Midway, MidwayConfig, SystemBuilder, TraceOp};
 use midway_replay::{verify_replay, Trace};
 
 #[test]
@@ -12,23 +12,19 @@ fn rebind_while_exclusive_updates_the_holder_binding() {
     let data = b.shared_array::<u64>("data", 8, 1);
     let lock = b.lock(vec![data.full_range()]);
     let spec = b.build();
-    let run = Midway::run(
-        MidwayConfig::new(2, BackendKind::Rt),
-        &spec,
-        |p: &mut Proc| {
-            if p.id() == 0 {
-                p.acquire(lock);
-                let before = p.bound_ranges(lock);
-                p.rebind(lock, vec![data.range(4..8)]);
-                let after = p.bound_ranges(lock);
-                p.write(&data, 5, 9);
-                p.release(lock);
-                (before, after)
-            } else {
-                (Vec::new(), Vec::new())
-            }
-        },
-    )
+    let run = Midway::run(MidwayConfig::new(2, BackendKind::Rt), &spec, async |p| {
+        if p.id() == 0 {
+            p.acquire(lock).await;
+            let before = p.bound_ranges(lock);
+            p.rebind(lock, vec![data.range(4..8)]);
+            let after = p.bound_ranges(lock);
+            p.write(&data, 5, 9);
+            p.release(lock);
+            (before, after)
+        } else {
+            (Vec::new(), Vec::new())
+        }
+    })
     .unwrap();
     let (before, after) = &run.results[0];
     assert_eq!(before, &[data.full_range()]);
@@ -45,17 +41,17 @@ fn transfer_after_rebind_ships_the_new_range() {
         let data = b.shared_array::<u64>("data", 8, 1);
         let lock = b.lock(vec![data.full_range()]);
         let spec = b.build();
-        let run = Midway::run(MidwayConfig::new(2, backend), &spec, |p: &mut Proc| {
+        let run = Midway::run(MidwayConfig::new(2, backend), &spec, async |p| {
             if p.id() == 0 {
-                p.acquire(lock);
+                p.acquire(lock).await;
                 p.rebind(lock, vec![data.range(4..8)]);
                 p.write(&data, 5, 77);
                 p.release(lock);
                 0
             } else {
                 // Home serialization orders this grant after the release.
-                p.idle(50_000);
-                p.acquire(lock);
+                p.idle(50_000).await;
+                p.acquire(lock).await;
                 let v = p.read(&data, 5);
                 p.release(lock);
                 v
@@ -73,15 +69,15 @@ fn recorded_rebind_round_trips_and_replays_bit_for_bit() {
     let lock = b.lock(vec![data.full_range()]);
     let spec = b.build();
     let cfg = MidwayConfig::new(2, BackendKind::Rt).record(true);
-    let run = Midway::run(cfg, &spec, |p: &mut Proc| {
+    let run = Midway::run(cfg, &spec, async |p| {
         if p.id() == 0 {
-            p.acquire(lock);
+            p.acquire(lock).await;
             p.rebind(lock, vec![data.range(0..4)]);
             p.write(&data, 1, 5);
             p.release(lock);
         } else {
-            p.idle(50_000);
-            p.acquire(lock);
+            p.idle(50_000).await;
+            p.acquire(lock).await;
             p.write(&data, 2, 6);
             p.release(lock);
         }

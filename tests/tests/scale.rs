@@ -2,7 +2,7 @@
 //! sync homes must be invisible to application semantics — same results,
 //! same final memory — and bit-for-bit deterministic run to run.
 
-use midway_core::{BackendKind, Midway, MidwayConfig, MidwayRun, Proc, SystemBuilder};
+use midway_core::{BackendKind, Midway, MidwayConfig, MidwayRun, SystemBuilder};
 
 const DATA_BACKENDS: [BackendKind; 5] = [
     BackendKind::Rt,
@@ -25,20 +25,20 @@ fn run_stencil(cfg: MidwayConfig, chunk: usize, iters: u64) -> MidwayRun<u64> {
         .collect();
     let bar = b.barrier_partitioned(vec![data.full_range()], parts);
     let spec = b.build();
-    Midway::run(cfg, &spec, |p: &mut Proc| {
+    Midway::run(cfg, &spec, async |p| {
         let me = p.id();
         let mut acc = 0u64;
         for it in 1..=iters {
             for i in 0..chunk {
                 p.write(&data, me * chunk + i, (me as u64 + 1) * it + i as u64);
             }
-            p.barrier(bar);
+            p.barrier(bar).await;
             let left = (me + procs - 1) % procs;
             let right = (me + 1) % procs;
             acc = acc
                 .wrapping_add(p.read(&data, left * chunk))
                 .wrapping_add(p.read(&data, right * chunk + chunk - 1));
-            p.barrier(bar);
+            p.barrier(bar).await;
         }
         acc
     })
@@ -125,26 +125,25 @@ fn sharded_homes_match_modulo_semantics() {
             .collect();
         let sync = b.barrier(vec![]);
         let spec = b.build();
-        Midway::run(cfg, &spec, move |p: &mut Proc| {
+        Midway::run(cfg, &spec, async move |p| {
             for r in 0..rounds {
                 let slot = (p.id() + r as usize) % slots;
-                p.acquire(locks[slot]);
+                p.acquire(locks[slot]).await;
                 let v = p.read(&counter, slot);
                 p.write(&counter, slot, v + 1);
                 p.release(locks[slot]);
             }
             // All increments land before anyone reads final values.
-            p.barrier(sync);
+            p.barrier(sync).await;
             // Closing read pass: acquiring each lock makes its slot
             // consistent here, so every processor returns the final image.
-            (0..slots)
-                .map(|slot| {
-                    p.acquire(locks[slot]);
-                    let v = p.read(&counter, slot);
-                    p.release(locks[slot]);
-                    v
-                })
-                .collect()
+            let mut image = Vec::with_capacity(slots);
+            for (slot, &lock) in locks.iter().enumerate() {
+                p.acquire(lock).await;
+                image.push(p.read(&counter, slot));
+                p.release(lock);
+            }
+            image
         })
         .expect("counter run completes")
     };
@@ -173,4 +172,36 @@ fn sharded_homes_match_modulo_semantics() {
             );
         }
     }
+}
+
+/// No thread per processor: 1024 simulated processors each increment one
+/// lock-protected counter and cross one barrier, all on the calling
+/// thread; a closing acquire on processor 0 sees every increment.
+#[test]
+fn a_thousand_processors_share_one_lock_and_barrier() {
+    let procs = 1024;
+    let mut b = SystemBuilder::new();
+    let counter = b.shared_array::<u64>("counter", 1, 1);
+    let lock = b.lock(vec![counter.full_range()]);
+    let done = b.barrier(vec![]);
+    let spec = b.build();
+    let cfg = MidwayConfig::new(procs, BackendKind::Rt);
+    let run = Midway::run(cfg, &spec, async |p| {
+        p.acquire(lock).await;
+        let v = p.read(&counter, 0);
+        p.write(&counter, 0, v + 1);
+        p.release(lock);
+        p.barrier(done).await;
+        if p.id() != 0 {
+            return None;
+        }
+        p.acquire(lock).await;
+        let total = p.read(&counter, 0);
+        p.release(lock);
+        Some(total)
+    })
+    .expect("1024-processor run completes");
+    assert_eq!(run.results[0], Some(procs as u64));
+    let acquires: u64 = run.counters.iter().map(|c| c.lock_acquires).sum();
+    assert_eq!(acquires, procs as u64 + 1);
 }
